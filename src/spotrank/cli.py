@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any, Sequence, TextIO
 
@@ -77,8 +78,23 @@ _CONFIG_FILE_KEYS = {
 }
 
 
+# JSON integers beyond the signed 64-bit range are rejected: vote counts that
+# large overflow float64 in the scoring arithmetic (10**320 cannot be
+# converted at all), and every real count, delta and timestamp fits
+_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
+
+# json.dumps spells the non-finite floats this way
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _round12(x: float) -> float:
     return float(f"{x:.12g}")
+
+
+def _json12(x: float) -> str:
+    """``json.dumps(_round12(x))``, without building a JSON encoder."""
+    text = repr(_round12(x))
+    return _JSON_NONFINITE.get(text, text)
 
 
 class Options:
@@ -201,11 +217,26 @@ def _open_input(path: str) -> TextIO:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"non-finite number {name}")
+
+
+# one decoder for every line: json.loads(parse_constant=...) would build a
+# new decoder per call
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _parse_jsonl_line(line_no: int, line: str) -> dict:
     try:
-        obj = json.loads(line)
+        obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
-        raise CliError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        # json.loads names a leading BOM; the decoder alone does not
+        msg = exc.msg
+        if line.startswith("\ufeff"):
+            msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        raise CliError(f"line {line_no}: invalid JSON ({msg})") from exc
+    except ValueError as exc:  # NaN/Infinity, or an integer too long to convert
+        raise CliError(f"line {line_no}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise CliError(f"line {line_no}: expected a JSON object")
     return obj
@@ -224,6 +255,8 @@ def _require_int(line_no: int, obj: dict, key: str, minimum: int | None = None) 
         raise CliError(f"line {line_no}: field {key!r} must be an integer")
     if minimum is not None and value < minimum:
         raise CliError(f"line {line_no}: field {key!r} must be >= {minimum}")
+    if not _INT_MIN <= value <= _INT_MAX:
+        raise CliError(f"line {line_no}: field {key!r} is out of range")
     return value
 
 
@@ -272,23 +305,19 @@ def _read_tallies(fh: TextIO) -> list[AnswerEntry]:
 def _emit_ranking(entries: Sequence[AnswerEntry], config: ScoringConfig, out: TextIO,
                   question_id: str | None = None,
                   raw_maxima: tuple[int, int, int] | None = None) -> None:
+    """One JSON object per ranked answer, byte-for-byte what ``json.dumps``
+    gives for the same dict, formatted without building the dict."""
     ranked = rank_answers(entries, config, raw_maxima)
     tallies = {entry.answer_id: entry.tally for entry in entries}
+    start = "{" if question_id is None else f'{{"question_id": {_json_str(question_id)}, '
     for position, (answer_id, breakdown) in enumerate(ranked.entries, start=1):
-        row: dict[str, Any] = {}
-        if question_id is not None:
-            row["question_id"] = question_id
         tally = tallies[answer_id]
-        row.update(
-            rank=position,
-            answer_id=answer_id,
-            up=tally.up,
-            down=tally.down,
-            wilson_lower=_round12(breakdown.wilson.lower),
-            si=_round12(breakdown.si),
-            combined=_round12(breakdown.combined),
+        out.write(
+            f'{start}"rank": {position}, "answer_id": {_json_str(answer_id)}, '
+            f'"up": {tally.up}, "down": {tally.down}, '
+            f'"wilson_lower": {_json12(breakdown.wilson.lower)}, '
+            f'"si": {_json12(breakdown.si)}, "combined": {_json12(breakdown.combined)}}}\n'
         )
-        out.write(json.dumps(row) + "\n")
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -432,18 +461,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
 
     out_dir = Path(opts.get("out-dir", "grids"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for point, grid in sweep(spec):
             path = out_dir / f"grid_{point.slug()}.csv"
             emit_csv(grid, path)
             written.append(path)
-            print(path)
+            # flushed per file, so a closed stdout is seen here and rolls back
+            print(path, flush=True)
     except (ValueError, OSError) as exc:
         for path in written:
             if path.exists():
                 path.unlink()
+        if isinstance(exc, BrokenPipeError):
+            raise  # main reports the closed stdout
         raise CliError(str(exc)) from exc
     return 0
 
@@ -499,21 +531,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trajectory = simulate(spec, scorers, cadence)
     report = stability_report(trajectory) if len(trajectory.snapshots) >= 2 else None
 
-    trajectory_path = opts.get("trajectory-out", "trajectory.jsonl")
-    report_path = opts.get("report-out", "report.json")
-    with open(trajectory_path, "w", encoding="utf-8", newline="\n") as fh:
-        for snap in trajectory.snapshots:
-            for label in trajectory.scorer_labels:
-                ranked = snap.rankings[label]
-                fh.write(json.dumps({
-                    "event_index": snap.event_index,
-                    "scorer": label,
-                    "ranking": [
-                        {"answer_id": answer_id, "combined": _round12(b.combined)}
-                        for answer_id, b in ranked.entries
-                    ],
-                }, sort_keys=True) + "\n")
-
     report_obj: dict[str, Any] = {"scorers": {}, "agreement": []}
     if report is not None:
         for label in trajectory.scorer_labels:
@@ -526,8 +543,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             report_obj["agreement"].append(
                 {"scorers": [label_a, label_b], "final_tau": _round12(tau)}
             )
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
+
+    trajectory_path = opts.get("trajectory-out", "trajectory.jsonl")
+    report_path = opts.get("report-out", "report.json")
+    written: list[str] = []
+    try:
+        with open(trajectory_path, "w", encoding="utf-8", newline="\n") as fh:
+            written.append(trajectory_path)
+            for snap in trajectory.snapshots:
+                for label in trajectory.scorer_labels:
+                    ranked = snap.rankings[label]
+                    fh.write(json.dumps({
+                        "event_index": snap.event_index,
+                        "scorer": label,
+                        "ranking": [
+                            {"answer_id": answer_id, "combined": _round12(b.combined)}
+                            for answer_id, b in ranked.entries
+                        ],
+                    }, sort_keys=True) + "\n")
+        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+            written.append(report_path)
+            fh.write(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        for path in written:  # never leave a partial trajectory or report behind
+            if os.path.exists(path):
+                os.remove(path)
+        raise CliError(f"cannot write output: {exc}") from exc
     return 0
 
 
@@ -630,9 +671,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return rc
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader of stdout went away; point stdout at devnull so the
+        # flush at exit does not raise again (see the Python signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before all output was written", file=sys.stderr)
         return 2
 
 

@@ -330,11 +330,13 @@ def _write_csv(grid: ScoreGrid, fh: TextIO) -> None:
     for key, value in grid.metadata.items():
         fh.write(f"# {key}: {value}\n")
     fh.write("u,d,score\n")
-    d_list = grid.d_values.tolist()
+    # One %-template per row formats every cell in a single C-level call;
+    # "%.12g" renders floats exactly as format(s, ".12g") does.  Rows are
+    # written one at a time so memory stays at one row of text.
+    cells = [f"{d},%.12g\n" for d in grid.d_values.tolist()]
     for i, u in enumerate(grid.u_values.tolist()):
-        row = grid.scores[i].tolist()
-        fh.write("\n".join(f"{u},{d},{s:.12g}" for d, s in zip(d_list, row)))
-        fh.write("\n")
+        prefix = f"{u},"
+        fh.write((prefix + prefix.join(cells)) % tuple(grid.scores[i].tolist()))
 
 
 def load_csv(source: Union[str, Path, TextIO]) -> ScoreGrid:

@@ -227,10 +227,12 @@ def spotlight_index(
     """Attention level of one answer relative to the question's most-voted one.
 
     ``maxima`` must already be floored (see :func:`effective_maxima`), which
-    guarantees positive denominators.  Net indices use sgn(u-d) * f(|u-d|) so
-    they are exactly 0 at u = d and odd around it under every transform.
-    Exponential indices are evaluated as exp(count - max) with the subtraction
-    done first; never as a quotient of two huge exponentials.
+    guarantees positive denominators.  Under the linear, log and poly
+    transforms net indices use sgn(u-d) * f(|u-d|), so they are exactly 0 at
+    u = d and odd around it.  Exp-net has no sign factor: it is
+    exp(u - d - n_max), positive everywhere.  Exponential indices are
+    evaluated as exp(count - max) with the subtraction done first; never as a
+    quotient of two huge exponentials.
     """
     u, d = tally.up, tally.down
     n = u + d

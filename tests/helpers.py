@@ -6,9 +6,14 @@ The Wilson bounds are the roots of
 
 so a bisection root-finder on g is an oracle for the closed-form evaluation:
 it never touches the quadratic's solution formula.
+
+The output writers have byte oracles here too: the straightforward
+formatting that the fast writers in the package must reproduce exactly.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -75,3 +80,37 @@ def wilson_bisect_arrays(
         hi = np.where(take, hi, mid)
     upper = 0.5 * (lo + hi)
     return lower, upper
+
+
+def write_csv_reference(grid, fh) -> None:
+    """Per-cell f-string CSV writer: the byte oracle for ``grids.emit_csv``."""
+    for key, value in grid.metadata.items():
+        fh.write(f"# {key}: {value}\n")
+    fh.write("u,d,score\n")
+    d_list = grid.d_values.tolist()
+    for i, u in enumerate(grid.u_values.tolist()):
+        row = grid.scores[i].tolist()
+        fh.write("\n".join(f"{u},{d},{s:.12g}" for d, s in zip(d_list, row)))
+        fh.write("\n")
+
+
+def ranking_reference(ranked_entries, tallies, question_id=None) -> str:
+    """dict + ``json.dumps`` rendering of ranked rows: the byte oracle for
+    the ``rank``/``replay`` JSONL output."""
+    lines = []
+    for position, (answer_id, breakdown) in enumerate(ranked_entries, start=1):
+        row = {}
+        if question_id is not None:
+            row["question_id"] = question_id
+        tally = tallies[answer_id]
+        row.update(
+            rank=position,
+            answer_id=answer_id,
+            up=tally.up,
+            down=tally.down,
+            wilson_lower=float(f"{breakdown.wilson.lower:.12g}"),
+            si=float(f"{breakdown.si:.12g}"),
+            combined=float(f"{breakdown.combined:.12g}"),
+        )
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)

@@ -1,6 +1,20 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
+
+from helpers import ranking_reference
+from spotrank import cli
 from spotrank.cli import main
+from spotrank.scoring import LOG10, ScoringConfig, SiKind, VoteTally
+from spotrank.state import AnswerEntry, QuestionState, VoteEvent, rank_answers
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -148,6 +162,79 @@ def test_rank_missing_file(capsys):
     assert "cannot read" in err
 
 
+# ids json.dumps must escape: quotes, backslashes, control and non-ASCII characters
+AWKWARD_IDS = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\t\n\x7f",
+               "\u00fcn\u00efc\u00f8d\u00e9 \u2603 \U0001d11e", "</script>", ""]
+
+
+def test_rank_output_bytes_match_json_dumps(tmp_path, capsys):
+    rows = [{"answer_id": a, "up": 40 * i, "down": 30 * (5 - i)} for i, a in enumerate(AWKWARD_IDS)]
+    path = tmp_path / "tallies.jsonl"
+    write_jsonl(path, rows)
+    rc, out, err = run(capsys, "rank", str(path), "--kind", "net", "--transform", "log")
+    assert rc == 0 and err == ""
+    entries = [AnswerEntry(r["answer_id"], VoteTally(r["up"], r["down"]), i) for i, r in enumerate(rows)]
+    ranked = rank_answers(entries, ScoringConfig(si_kind=SiKind.NET, si_transform=LOG10))
+    assert out == ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries})
+
+
+def test_rank_output_bytes_match_json_dumps_on_special_floats(tmp_path, capsys, monkeypatch):
+    scores = {  # answer_id -> (wilson_lower, si, combined)
+        "a": (-0.0, math.nan, math.inf),
+        "b": (5e-324, -math.inf, 1e22),
+        "c": (0.1 + 0.2, 1.7976931348623157e308, -123456789012345.6),
+    }
+    fake = tuple(
+        (answer_id, SimpleNamespace(wilson=SimpleNamespace(lower=w), si=si, combined=c))
+        for answer_id, (w, si, c) in scores.items()
+    )
+    monkeypatch.setattr(cli, "rank_answers", lambda *args: SimpleNamespace(entries=fake))
+    path = tmp_path / "tallies.jsonl"
+    write_jsonl(path, [{"answer_id": a, "up": 1, "down": 0} for a in scores])
+    rc, out, err = run(capsys, "rank", str(path))
+    assert rc == 0 and err == ""
+    assert out == ranking_reference(fake, {a: VoteTally(1, 0) for a in scores})
+    assert "NaN" in out and "-Infinity" in out and '"wilson_lower": -0.0' in out
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_rank_rejects_non_finite_literals(tmp_path, capsys, literal):
+    path = tmp_path / "tallies.jsonl"
+    path.write_text('{"answer_id": "a", "up": 1, "down": 0}\n'
+                    f'{{"answer_id": "b", "up": {literal}, "down": 0}}\n', encoding="utf-8")
+    rc, out, err = run(capsys, "rank", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: line 2: invalid JSON (non-finite number {literal})\n"
+
+
+def test_rank_rejects_integer_literal_too_long_to_convert(tmp_path, capsys):
+    path = tmp_path / "tallies.jsonl"
+    path.write_text('{"answer_id": "a", "up": ' + "9" * 5000 + ', "down": 0}\n', encoding="utf-8")
+    rc, out, err = run(capsys, "rank", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: line 1: invalid JSON (") and len(err.splitlines()) == 1
+
+
+def test_rank_names_a_leading_bom(tmp_path, capsys):
+    path = tmp_path / "tallies.jsonl"
+    path.write_text('\ufeff{"answer_id": "a", "up": 1, "down": 0}\n', encoding="utf-8")
+    rc, out, err = run(capsys, "rank", str(path))
+    assert rc == 2 and out == ""
+    assert err == "error: line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))\n"
+
+
+@pytest.mark.parametrize("up,accepted", [(2**63 - 1, True), (2**63, False), (10**320, False)])
+def test_rank_counts_beyond_int64_are_out_of_range(tmp_path, capsys, up, accepted):
+    path = tmp_path / "tallies.jsonl"
+    write_jsonl(path, [{"answer_id": "a", "up": up, "down": 1}])
+    rc, out, err = run(capsys, "rank", str(path))
+    if accepted:
+        assert rc == 0 and err == "" and parse_jsonl(out)[0]["up"] == up
+    else:
+        assert rc == 2 and out == ""
+        assert err == "error: line 1: field 'up' is out of range\n"
+
+
 # --- replay --------------------------------------------------------------------
 
 
@@ -247,6 +334,41 @@ def test_replay_supports_retractions_that_stay_non_negative(tmp_path, capsys):
     rc, out, _ = run(capsys, "replay", str(path))
     assert rc == 0
     assert parse_jsonl(out)[0]["up"] == 2
+
+
+def test_replay_output_bytes_match_json_dumps(tmp_path, capsys):
+    events = [
+        {"question_id": AWKWARD_IDS[(i * 7) % 3], "answer_id": AWKWARD_IDS[i % len(AWKWARD_IDS)],
+         "up_delta": i % 4, "down_delta": 1, "ts": i}
+        for i in range(40)
+    ]
+    path = tmp_path / "events.jsonl"
+    write_jsonl(path, events)
+    rc, out, err = run(capsys, "replay", str(path))
+    assert rc == 0 and err == ""
+    states = {}
+    for e in events:
+        state = states.setdefault(e["question_id"], QuestionState(e["question_id"]))
+        state.apply_event(VoteEvent(e["question_id"], e["answer_id"], e["up_delta"], e["down_delta"], e["ts"]))
+    expected = ""
+    for question_id, state in states.items():
+        entries = state.entries()
+        ranked = rank_answers(entries, ScoringConfig(),
+                              (state.raw_n_max, state.raw_u_max, state.raw_d_max))
+        expected += ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries},
+                                      question_id=question_id)
+    assert out == expected
+
+
+def test_replay_delta_beyond_int64_is_out_of_range(tmp_path, capsys):
+    path = tmp_path / "events.jsonl"
+    write_jsonl(path, [
+        {"question_id": "q", "answer_id": "a", "up_delta": 1, "down_delta": 0, "ts": 1},
+        {"question_id": "q", "answer_id": "a", "up_delta": 10**320, "down_delta": 0, "ts": 2},
+    ])
+    rc, out, err = run(capsys, "replay", str(path))
+    assert rc == 2 and out == ""
+    assert err == "error: line 2: field 'up_delta' is out of range\n"
 
 
 # --- grid ----------------------------------------------------------------------
@@ -354,6 +476,15 @@ def test_sweep_failure_removes_partial_outputs(tmp_path, capsys):
     assert list(out_dir.iterdir()) == []  # the completed whole-kind file was rolled back
 
 
+def test_sweep_unwritable_out_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    rc, out, err = run(capsys, "sweep", "--u-range", "3", "--d-range", "3", "--n-max", "10",
+                       "--out-dir", str(blocker / "grids"))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 # --- simulate ------------------------------------------------------------------
 
 
@@ -420,6 +551,28 @@ def test_simulate_invalid_profiles(tmp_path, capsys):
     assert "up_probability" in err
 
 
+def test_simulate_rejects_infinite_arrival_weight(tmp_path, capsys):
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text('{"answer_id": "a", "up_probability": 0.5, "arrival_weight": Infinity}\n',
+                        encoding="utf-8")
+    rc, _, err = run(capsys, "simulate", str(profiles))
+    assert rc == 2
+    assert err == "error: line 1: invalid JSON (non-finite number Infinity)\n"
+
+
+@pytest.mark.parametrize("missing", ["trajectory-out", "report-out"])
+def test_simulate_unwritable_output_exits_2_and_leaves_no_file(tmp_path, capsys, missing):
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, PROFILES)
+    outputs = {"trajectory-out": tmp_path / "t.jsonl", "report-out": tmp_path / "r.json"}
+    outputs[missing] = tmp_path / "missing" / outputs[missing].name
+    rc, out, err = run(capsys, "simulate", str(profiles), "--events", "60", "--cadence", "20",
+                       *(arg for flag, path in outputs.items() for arg in (f"--{flag}", str(path))))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+    assert not any(path.exists() for path in outputs.values())
+
+
 # --- config file ---------------------------------------------------------------
 
 
@@ -480,10 +633,35 @@ def test_help_exits_0(capsys):
     assert "score" in out and "sweep" in out
 
 
-def test_module_entry_point_runs():
-    import subprocess
-    import sys
+@pytest.mark.parametrize("command", ["grid", "sweep", "rank"])
+def test_closed_stdout_exits_2_with_one_error_line(tmp_path, command):
+    tallies = tmp_path / "tallies.jsonl"
+    write_jsonl(tallies, [{"answer_id": f"a{i}", "up": i, "down": 1} for i in range(50)])
+    argv = {
+        "grid": ["grid", "--u-range", "300", "--d-range", "300"],
+        "sweep": ["sweep", "--u-range", "3", "--d-range", "3", "--n-max", "10",
+                  "--out-dir", str(tmp_path / "grids")],
+        "rank": ["rank", str(tallies)],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "spotrank", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            # block-buffered stdout, as by default: the pipe error may surface only at a flush
+            env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                 "PYTHONPATH": str(SRC)},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == "error: stdout was closed before all output was written\n"
+    if command == "sweep":
+        assert list((tmp_path / "grids").iterdir()) == []  # written grids were rolled back
 
+
+def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "spotrank", "score", "--up", "10", "--down", "0",
          "--z", "2", "--p-weight", "1"],

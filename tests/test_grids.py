@@ -3,11 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from helpers import write_csv_reference
 from spotrank.grids import (
     AverageRatingScorer,
     GridSpec,
     ImprovedScorer,
     InconsistentMaximaError,
+    ScoreGrid,
     SweepSpec,
     WilsonScorer,
     emit_csv,
@@ -16,6 +18,7 @@ from spotrank.grids import (
     sweep,
 )
 from spotrank.scoring import (
+    EXP,
     LINEAR,
     LOG10,
     Maxima,
@@ -227,6 +230,43 @@ def test_csv_negative_scores_render():
     buffer = io.StringIO()
     emit_csv(grid, buffer)
     assert "0,5,-0.5" in buffer.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("spec", [
+    improved_spec(0, 0, n_max=10),  # 1x1
+    improved_spec(0, 40, n_max=50),  # 1xN
+    improved_spec(40, 0, n_max=50),  # Nx1
+    improved_spec(1000, 1000, n_max=2000, step=37, z=5.0, si_transform=LOG10),
+    improved_spec(30, 60, n_max=100, p_weight=0.0, si_kind=SiKind.NET),  # negative scores
+    # exp(d - n_max) underflows to (-)0.0 for most cells
+    improved_spec(200, 900, n_max=2000, p_weight=0.0, si_kind=SiKind.NEGATIVE, si_transform=EXP),
+    improved_spec(900, 200, n_max=2000, p_weight=0.3, si_kind=SiKind.NET, si_transform=EXP),
+    GridSpec(50, 50, Maxima(100, 100, 100), WilsonScorer(1.5), 3),
+    GridSpec(50, 50, Maxima(100, 100, 100), AverageRatingScorer(), 1),
+], ids=["1x1", "1xN", "Nx1", "step37", "net-negative", "exp-underflow-negative",
+        "exp-underflow-net", "wilson", "average"])
+def test_csv_bytes_match_per_cell_reference(spec):
+    grid = grid_scores(spec)
+    expected, actual = io.StringIO(), io.StringIO()
+    write_csv_reference(grid, expected)
+    emit_csv(grid, actual)
+    assert actual.getvalue() == expected.getvalue()
+
+
+def test_csv_bytes_match_reference_on_special_values():
+    specials = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e22,
+                0.1 + 0.2, -123456789012345.6, 1.7976931348623157e308]
+    grid = ScoreGrid(
+        u_values=np.array([0, 7], dtype=np.int64),
+        d_values=np.arange(len(specials), dtype=np.int64) * 5,
+        scores=np.array([specials, specials[::-1]], dtype=np.float64),
+        metadata={"scorer": "hand-built"},
+    )
+    expected, actual = io.StringIO(), io.StringIO()
+    write_csv_reference(grid, expected)
+    emit_csv(grid, actual)
+    assert actual.getvalue() == expected.getvalue()
+    assert "0,0,-0\n" in actual.getvalue() and "0,10,nan\n" in actual.getvalue()
 
 
 # --- sweep ----------------------------------------------------------------------
