@@ -337,8 +337,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
 # --- replay -----------------------------------------------------------------
 
 
-def _read_events(fh: TextIO) -> list[tuple[int, VoteEvent]]:
-    events: list[tuple[int, VoteEvent]] = []
+def _replay_events(fh: TextIO) -> dict[str, QuestionState]:
+    """Parse, validate and apply each line before reading the next, so memory
+    holds the answers seen, never the events; states are in first-appearance
+    order of their questions."""
+    states: dict[str, QuestionState] = {}
     last_ts: int | None = None
     for line_no, line in enumerate(fh, start=1):
         if not line.strip():
@@ -356,8 +359,14 @@ def _read_events(fh: TextIO) -> list[tuple[int, VoteEvent]]:
             event = VoteEvent(question_id, answer_id, up_delta, down_delta, ts)
         except ValueError as exc:
             raise CliError(f"line {line_no}: {exc}") from exc
-        events.append((line_no, event))
-    return events
+        state = states.get(question_id)
+        if state is None:
+            state = states[question_id] = QuestionState(question_id)
+        try:
+            state.apply_event(event)
+        except NegativeCountError as exc:
+            raise CliError(f"line {line_no}: {exc}") from exc
+    return states
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -365,22 +374,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = resolve_scoring_config(opts)
     fh = _open_input(args.events)
     try:
-        events = _read_events(fh)
+        states = _replay_events(fh)
     finally:
         if fh is not sys.stdin:
             fh.close()
-
-    states: dict[str, QuestionState] = {}
-    for line_no, event in events:
-        state = states.get(event.question_id)
-        if state is None:
-            state = states[event.question_id] = QuestionState(event.question_id)
-        try:
-            state.apply_event(event)
-        except NegativeCountError as exc:
-            raise CliError(f"line {line_no}: {exc}") from exc
-
-    for question_id, state in states.items():  # first-appearance order
+    # written only after the last line, so a bad line leaves stdout empty
+    for question_id, state in states.items():
         _emit_ranking(state.entries(), config, sys.stdout, question_id=question_id,
                       raw_maxima=(state.raw_n_max, state.raw_u_max, state.raw_d_max))
     return 0
@@ -429,11 +428,15 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if out is None:
         emit_csv(grid, sys.stdout)
         return 0
+    # written to a temp file beside the target and renamed into place, so a
+    # failed run leaves whatever was at the target untouched
+    target = Path(out)
+    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
     try:
-        emit_csv(grid, out)
+        emit_csv(grid, tmp)
+        os.replace(tmp, out)
     except OSError as exc:
-        if os.path.exists(out):
-            os.remove(out)  # never leave a partial CSV behind
+        tmp.unlink(missing_ok=True)
         raise CliError(f"cannot write {out}: {exc}") from exc
     return 0
 

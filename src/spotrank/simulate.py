@@ -14,7 +14,9 @@ needed) plus cross-scorer agreement on the final ranking.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .scoring import ScoringConfig, validate_config
@@ -114,18 +116,19 @@ class StabilityReport:
 def generate_events(spec: StreamSpec) -> list[VoteEvent]:
     """The seeded single-vote event stream; timestamp = event index in ms."""
     rng = SplitMix64(spec.seed)
-    weights = [p.arrival_weight for p in spec.profiles]
+    profiles = spec.profiles
+    weights = [p.arrival_weight for p in profiles]
+    # sum() is not bounds[-1]: from Python 3.12 it adds floats with
+    # compensation, and the stream must not depend on which one is used
     total_weight = sum(weights)
+    bounds = list(accumulate(weights))
+    last = len(profiles) - 1
     events = []
     for i in range(spec.total_events):
-        pick = rng.next_float() * total_weight
-        chosen = spec.profiles[-1]
-        acc = 0.0
-        for profile, w in zip(spec.profiles, weights):
-            acc += w
-            if pick < acc:
-                chosen = profile
-                break
+        # the first profile whose running weight sum exceeds the pick; the
+        # search stops short of the last sum, so a pick at or past it (float
+        # rounding) falls to the last profile
+        chosen = profiles[bisect_right(bounds, rng.next_float() * total_weight, 0, last)]
         is_up = rng.next_float() < chosen.up_probability
         events.append(
             VoteEvent(
@@ -177,12 +180,37 @@ def kendall_tau(ranking_a: Sequence[str], ranking_b: Sequence[str]) -> float:
     if m < 2:
         raise TooFewElementsError("kendall tau needs at least 2 elements")
     position_b = {answer_id: i for i, answer_id in enumerate(ranking_b)}
-    perm = [position_b[answer_id] for answer_id in ranking_a]
-    discordant = sum(
-        1 for i in range(m) for j in range(i + 1, m) if perm[i] > perm[j]
-    )
+    discordant = _count_inversions([position_b[answer_id] for answer_id in ranking_a])
     total = m * (m - 1) // 2
     return 1.0 - 2.0 * discordant / total
+
+
+def _count_inversions(perm: list[int]) -> int:
+    """Pairs i < j with perm[i] > perm[j], counted while merge-sorting perm
+    bottom-up: O(m log m) (Knight 1966, JASA 61:436)."""
+    m = len(perm)
+    inversions = 0
+    width = 1
+    while width < m:
+        merged = []
+        for lo in range(0, m, 2 * width):
+            mid = min(lo + width, m)
+            hi = min(lo + 2 * width, m)
+            i, j = lo, mid
+            while i < mid and j < hi:
+                if perm[i] < perm[j]:
+                    merged.append(perm[i])
+                    i += 1
+                else:
+                    # perm[j] precedes every element left in perm[i:mid]
+                    merged.append(perm[j])
+                    j += 1
+                    inversions += mid - i
+            merged += perm[i:mid]
+            merged += perm[j:hi]
+        perm = merged
+        width *= 2
+    return inversions
 
 
 def _tau_or_one(ids_a: Sequence[str], ids_b: Sequence[str]) -> float:

@@ -101,39 +101,51 @@ def rank_answers(
 
 def scan_maxima(answers: Iterable[AnswerEntry]) -> tuple[int, int, int]:
     """Brute-force (n_max, u_max, d_max) over a collection; (0, 0, 0) when empty."""
+    return _max_counts((entry.tally.up, entry.tally.down) for entry in answers)
+
+
+def _max_counts(counts: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
     n_max = u_max = d_max = 0
-    for entry in answers:
-        t = entry.tally
-        if t.n > n_max:
-            n_max = t.n
-        if t.up > u_max:
-            u_max = t.up
-        if t.down > d_max:
-            d_max = t.down
+    for up, down in counts:
+        n = up + down
+        if n > n_max:
+            n_max = n
+        if up > u_max:
+            u_max = up
+        if down > d_max:
+            d_max = down
     return (n_max, u_max, d_max)
 
 
 class QuestionState:
-    """All answers of one question plus cached raw vote maxima."""
+    """All answers of one question plus cached raw vote maxima.
+
+    Tallies are held as plain ``(up, down)`` tuples keyed by answer id, so
+    applying an event allocates no per-answer objects; the dict's insertion
+    order is the creation order, which makes an answer's position its
+    ``created_seq``.  :class:`AnswerEntry` views are built only on read.
+    """
 
     def __init__(self, question_id: str):
         self.question_id = question_id
-        self._entries: dict[str, AnswerEntry] = {}
+        self._counts: dict[str, tuple[int, int]] = {}
         self.raw_n_max = 0
         self.raw_u_max = 0
         self.raw_d_max = 0
         self.event_count = 0
-        self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._counts)
 
     def entries(self) -> tuple[AnswerEntry, ...]:
-        return tuple(self._entries.values())
+        return tuple(
+            AnswerEntry(answer_id, VoteTally(up, down), seq)
+            for seq, (answer_id, (up, down)) in enumerate(self._counts.items())
+        )
 
     def tally(self, answer_id: str) -> VoteTally | None:
-        entry = self._entries.get(answer_id)
-        return entry.tally if entry else None
+        counts = self._counts.get(answer_id)
+        return VoteTally(*counts) if counts is not None else None
 
     def apply_event(self, event: VoteEvent) -> bool:
         """Apply one vote delta; returns True iff any cached maximum changed.
@@ -147,51 +159,44 @@ class QuestionState:
             raise UnknownQuestionError(
                 f"event for question {event.question_id!r} applied to {self.question_id!r}"
             )
-        existing = self._entries.get(event.answer_id)
-        old = existing.tally if existing else VoteTally(0, 0)
-        new_up = old.up + event.up_delta
-        new_down = old.down + event.down_delta
+        old_up, old_down = self._counts.get(event.answer_id, (0, 0))
+        new_up = old_up + event.up_delta
+        new_down = old_down + event.down_delta
         if new_up < 0 or new_down < 0:
             raise NegativeCountError(
                 f"event would drive answer {event.answer_id!r} to ({new_up}, {new_down})"
             )
-
-        new = VoteTally(new_up, new_down)
-        if existing is None:
-            self._entries[event.answer_id] = AnswerEntry(event.answer_id, new, self._next_seq)
-            self._next_seq += 1
-        else:
-            self._entries[event.answer_id] = AnswerEntry(
-                event.answer_id, new, existing.created_seq
-            )
+        self._counts[event.answer_id] = (new_up, new_down)
         self.event_count += 1
 
+        old_n = old_up + old_down
+        new_n = new_up + new_down
         before = (self.raw_n_max, self.raw_u_max, self.raw_d_max)
         # a shrinking count only matters if this answer held the cached maximum
         rescan = (
-            (new.n < old.n and old.n == self.raw_n_max)
-            or (new.up < old.up and old.up == self.raw_u_max)
-            or (new.down < old.down and old.down == self.raw_d_max)
+            (new_n < old_n and old_n == self.raw_n_max)
+            or (new_up < old_up and old_up == self.raw_u_max)
+            or (new_down < old_down and old_down == self.raw_d_max)
         )
         if rescan:
             self.raw_n_max, self.raw_u_max, self.raw_d_max = self.recompute_maxima()
         else:
-            if new.n > self.raw_n_max:
-                self.raw_n_max = new.n
-            if new.up > self.raw_u_max:
-                self.raw_u_max = new.up
-            if new.down > self.raw_d_max:
-                self.raw_d_max = new.down
+            if new_n > self.raw_n_max:
+                self.raw_n_max = new_n
+            if new_up > self.raw_u_max:
+                self.raw_u_max = new_up
+            if new_down > self.raw_d_max:
+                self.raw_d_max = new_down
         return (self.raw_n_max, self.raw_u_max, self.raw_d_max) != before
 
     def recompute_maxima(self) -> tuple[int, int, int]:
         """Full-scan raw maxima, independent of the caches (for checks and rescans)."""
-        return scan_maxima(self._entries.values())
+        return _max_counts(self._counts.values())
 
     def rank(self, config: ScoringConfig) -> RankedList:
         """Rank all answers under the current maxima, floored per config."""
         return rank_answers(
-            self._entries.values(),
+            self.entries(),
             config,
             (self.raw_n_max, self.raw_u_max, self.raw_d_max),
         )
@@ -199,7 +204,7 @@ class QuestionState:
     def snapshot(self) -> QuestionSnapshot:
         return QuestionSnapshot(
             self.question_id,
-            tuple(self._entries.values()),
+            self.entries(),
             self.raw_n_max,
             self.raw_u_max,
             self.raw_d_max,

@@ -9,6 +9,8 @@ it never touches the quadratic's solution formula.
 
 The output writers have byte oracles here too: the straightforward
 formatting that the fast writers in the package must reproduce exactly.
+So do the simulation's event generator (a linear scan per weighted pick)
+and its Kendall tau (an O(m^2) pair count).
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+from spotrank.simulate import SIM_QUESTION_ID, SplitMix64
+from spotrank.state import VoteEvent
 
 
 def wilson_bisect(u: int, d: int, z: float, iters: int = 100) -> tuple[float, float]:
@@ -114,3 +119,38 @@ def ranking_reference(ranked_entries, tallies, question_id=None) -> str:
         )
         lines.append(json.dumps(row) + "\n")
     return "".join(lines)
+
+
+def generate_events_linear(spec) -> list:
+    """Weighted picks by a linear scan over the running weight sum: the
+    oracle for ``simulate.generate_events``."""
+    rng = SplitMix64(spec.seed)
+    weights = [p.arrival_weight for p in spec.profiles]
+    total_weight = sum(weights)
+    events = []
+    for i in range(spec.total_events):
+        pick = rng.next_float() * total_weight
+        chosen = spec.profiles[-1]
+        acc = 0.0
+        for profile, w in zip(spec.profiles, weights):
+            acc += w
+            if pick < acc:
+                chosen = profile
+                break
+        is_up = rng.next_float() < chosen.up_probability
+        events.append(VoteEvent(SIM_QUESTION_ID, chosen.answer_id,
+                                1 if is_up else 0, 0 if is_up else 1, i))
+    return events
+
+
+def kendall_tau_pairs(ranking_a, ranking_b) -> float:
+    """Tau-a by checking every pair: the oracle for ``simulate.kendall_tau``
+    (on valid input; it does no validation)."""
+    m = len(ranking_a)
+    position_b = {answer_id: i for i, answer_id in enumerate(ranking_b)}
+    perm = [position_b[answer_id] for answer_id in ranking_a]
+    discordant = sum(
+        1 for i in range(m) for j in range(i + 1, m) if perm[i] > perm[j]
+    )
+    total = m * (m - 1) // 2
+    return 1.0 - 2.0 * discordant / total

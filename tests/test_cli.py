@@ -360,6 +360,67 @@ def test_replay_output_bytes_match_json_dumps(tmp_path, capsys):
     assert out == expected
 
 
+def test_replay_reports_the_first_bad_line_in_file_order(tmp_path, capsys):
+    path = tmp_path / "events.jsonl"
+    path.write_text(
+        '{"question_id": "q", "answer_id": "a", "up_delta": 1, "down_delta": 0, "ts": 1}\n'
+        '{"question_id": "q", "answer_id": "a", "up_delta": -2, "down_delta": 0, "ts": 2}\n'
+        '{"question_id": "q", "answer_id": \n',
+        encoding="utf-8",
+    )
+    rc, out, err = run(capsys, "replay", str(path))
+    assert rc == 2 and out == ""
+    assert err == "error: line 2: event would drive answer 'a' to (-1, 0)\n"
+
+
+class _LinesUpTo:
+    """Input lines that fail the test if read past line ``last``."""
+
+    def __init__(self, lines, last):
+        self.lines, self.last = lines, last
+
+    def __iter__(self):
+        for line_no, line in enumerate(self.lines, start=1):
+            if line_no > self.last:
+                raise AssertionError(f"line {line_no} was read after a bad line {self.last}")
+            yield line
+
+    def close(self):
+        pass
+
+
+def test_replay_applies_each_line_before_reading_the_next(capsys, monkeypatch):
+    lines = [
+        json.dumps({"question_id": "q", "answer_id": "a", "up_delta": 1, "down_delta": 0, "ts": 1}) + "\n",
+        json.dumps({"question_id": "q", "answer_id": "a", "up_delta": 0, "down_delta": -1, "ts": 2}) + "\n",
+        json.dumps({"question_id": "q", "answer_id": "a", "up_delta": 1, "down_delta": 0, "ts": 3}) + "\n",
+    ]
+    monkeypatch.setattr(cli, "_open_input", lambda path: _LinesUpTo(lines, last=2))
+    rc, out, err = run(capsys, "replay", "events.jsonl")
+    assert rc == 2 and out == ""
+    assert err == "error: line 2: event would drive answer 'a' to (1, -1)\n"
+
+
+def test_replay_orders_questions_and_tied_answers_by_first_appearance(tmp_path, capsys):
+    # q3 and q1 interleave; every answer ends at (1, 0) (q1's "m" votes up
+    # twice and retracts once), so ties leave answers in first-seen order
+    order = [("q3", "z"), ("q1", "m"), ("q3", "b"), ("q1", "a"), ("q2", "x"),
+             ("q3", "a"), ("q1", "m"), ("q1", "m")]
+    path = tmp_path / "events.jsonl"
+    write_jsonl(path, [
+        {"question_id": q, "answer_id": a, "up_delta": -1 if i == 7 else 1,
+         "down_delta": 0, "ts": i}
+        for i, (q, a) in enumerate(order)
+    ])
+    rc, out, err = run(capsys, "replay", str(path))
+    assert rc == 0 and err == ""
+    assert [(row["question_id"], row["answer_id"]) for row in parse_jsonl(out)] == [
+        ("q3", "z"), ("q3", "b"), ("q3", "a"),
+        ("q1", "m"), ("q1", "a"),
+        ("q2", "x"),
+    ]
+
+
 def test_replay_delta_beyond_int64_is_out_of_range(tmp_path, capsys):
     path = tmp_path / "events.jsonl"
     write_jsonl(path, [
@@ -402,6 +463,36 @@ def test_grid_writes_file(tmp_path, capsys):
     text = out_path.read_text(encoding="utf-8")
     assert "u,d,score" in text
     assert len(grid_data_lines(text)) == 1 + 121
+
+
+def test_grid_out_directory_exits_2_and_keeps_the_directory(tmp_path, capsys):
+    target = tmp_path / "existing"
+    target.mkdir()
+    (target / "keep.txt").write_text("kept", encoding="utf-8")
+    rc, out, err = run(capsys, "grid", "--u-range", "2", "--d-range", "2",
+                       "--n-max", "10", "--out", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+    assert [p.name for p in target.iterdir()] == ["keep.txt"]
+
+
+def test_grid_failed_write_leaves_existing_out_file_untouched(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "grid.csv"
+    target.write_bytes(b"old bytes\n")
+
+    def half_then_fail(grid, destination):
+        with open(destination, "w", encoding="utf-8") as fh:
+            fh.write("# partial\nu,d,score\n0,0,")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_csv", half_then_fail)
+    rc, out, err = run(capsys, "grid", "--u-range", "2", "--d-range", "2",
+                       "--n-max", "10", "--out", str(target))
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "No space left on device" in err
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
 
 
 def test_grid_step_grid_shape(capsys):

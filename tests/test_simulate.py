@@ -1,6 +1,12 @@
+import builtins
+import importlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
+from helpers import generate_events_linear, kendall_tau_pairs
 from spotrank.scoring import ScoringConfig
 from spotrank.simulate import (
     AnswerProfile,
@@ -78,6 +84,42 @@ def test_weights_steer_arrivals():
     events = generate_events(spec)
     heavy = sum(1 for e in events if e.answer_id == "heavy")
     assert heavy > 1800
+
+
+def _pareto_weights(count):
+    # the benchmark's simulate profile shape: a Pareto(1.5) tail, shuffled
+    quantiles = (np.arange(count) + 0.5) / count
+    weights = (1 - quantiles) ** (-1 / 1.5) - 1 + 0.05
+    return [round(float(w), 6) for w in weights[np.random.default_rng(0).permutation(count)]]
+
+
+@pytest.mark.parametrize("weights, seeds", [
+    ([1.0], [0, 9]),
+    ([2.5] * 7, [0, 1, 2]),
+    ([1.0, 1e-12, 1.0, 1e-12], [3, 4]),
+    ([1e12, 1.0, 1e-12, 3.0], [5, 6]),
+    ([1.0, 1e12], [7]),
+    (_pareto_weights(200), [101, 202, 303, 2**63 + 5]),
+], ids=["one-profile", "tied", "ratio-1e-12", "ratio-1e12", "heavy-last", "pareto-200"])
+def test_generate_events_matches_linear_scan_oracle(weights, seeds):
+    profiles = [(f"p{i}", (i % 10 + 0.5) / 10, w) for i, w in enumerate(weights)]
+    for seed in seeds:
+        spec = spec_of(*profiles, total_events=3000, seed=seed)
+        assert generate_events(spec) == generate_events_linear(spec)
+
+
+def test_picks_past_the_last_weight_sum_fall_to_the_last_profile(monkeypatch):
+    # from Python 3.12, sum() of floats is compensated and can exceed the
+    # last running sum; an inflated total sends a third of the picks past it,
+    # which all go to the last profile
+    for module in (importlib.import_module("spotrank.simulate"), helpers):
+        monkeypatch.setattr(module, "sum", lambda values: 1.5 * builtins.sum(values),
+                            raising=False)
+    spec = spec_of(("a", 0.5, 1.0), ("b", 0.5, 2.0), ("last", 0.5, 1.0),
+                   total_events=600, seed=11)
+    events = generate_events(spec)
+    assert events == generate_events_linear(spec)
+    assert sum(e.answer_id == "last" for e in events) > 250  # its own share is 100
 
 
 def test_spec_validation():
@@ -200,6 +242,19 @@ def test_tau_rejects_mismatched_sets():
 def test_tau_rejects_tiny_rankings():
     with pytest.raises(TooFewElementsError):
         kendall_tau(["a"], ["a"])
+    with pytest.raises(TooFewElementsError):
+        kendall_tau([], [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    perms=st.integers(2, 300).flatmap(
+        lambda m: st.tuples(st.permutations(range(m)), st.permutations(range(m)))
+    )
+)
+def test_tau_matches_pair_count_oracle(perms):
+    ranking_a, ranking_b = ([f"id{i}" for i in perm] for perm in perms)
+    assert kendall_tau(ranking_a, ranking_b) == kendall_tau_pairs(ranking_a, ranking_b)
 
 
 @settings(max_examples=200)

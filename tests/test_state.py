@@ -307,6 +307,20 @@ def test_snapshot_of_empty_question():
     assert (snap.raw_n_max, snap.raw_u_max, snap.raw_d_max) == (0, 0, 0)
 
 
+def test_answer_retracted_to_zero_keeps_its_creation_order():
+    state = build_state(("a", 2, 0), ("b", 1, 1), ("c", 0, 3))
+    state.apply_event(event("b", up=-1, down=-1))
+    expected = (
+        AnswerEntry("a", VoteTally(2, 0), 0),
+        AnswerEntry("b", VoteTally(0, 0), 1),
+        AnswerEntry("c", VoteTally(0, 3), 2),
+    )
+    assert state.entries() == expected
+    assert state.snapshot().entries == expected
+    assert state.tally("b") == VoteTally(0, 0)
+    assert state.tally("never-seen") is None
+
+
 def test_snapshot_maxima_match_rescan_of_snapshot_entries():
     state = build_state(("a", 12, 4), ("b", 7, 9), ("c", 1, 1))
     state.apply_event(event("b", up=-1))
