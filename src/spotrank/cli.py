@@ -13,13 +13,15 @@ flag names without the leading dashes, and explicit flags win.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Any, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from .grids import (
     AverageRatingScorer,
@@ -78,9 +80,10 @@ _CONFIG_FILE_KEYS = {
 }
 
 
-# JSON integers beyond the signed 64-bit range are rejected: vote counts that
-# large overflow float64 in the scoring arithmetic (10**320 cannot be
-# converted at all), and every real count, delta and timestamp fits
+# JSON integers and integer flags beyond the signed 64-bit range are
+# rejected: vote counts that large overflow float64 in the scoring arithmetic
+# (10**320 cannot be converted at all), and every real count, delta,
+# timestamp, grid size and seed fits (seeds are taken modulo 2**64)
 _INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
 
 # json.dumps spells the non-finite floats this way
@@ -121,7 +124,9 @@ def _load_config_file(path: str) -> dict[str, Any]:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bad syntax, an integer too long to convert, bytes that are not UTF-8,
+    # or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise CliError(f"config file {path}: expected a flat JSON object")
@@ -136,6 +141,8 @@ def _to_float(flag: str, value: Any) -> float:
         result = float(value)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{flag}: expected a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer beyond float range
+        raise CliError(f"{flag}: out of range") from exc
     return result
 
 
@@ -146,8 +153,12 @@ def _to_int(flag: str, value: Any) -> int:
         result = int(value)
     except ValueError as exc:
         raise CliError(f"{flag}: expected an integer, got {value!r}") from exc
+    except OverflowError as exc:  # an infinite float from a config file
+        raise CliError(f"{flag}: out of range") from exc
     if isinstance(value, float) and value != result:
         raise CliError(f"{flag}: expected an integer, got {value!r}")
+    if not _INT_MIN <= result <= _INT_MAX:
+        raise CliError(f"{flag}: out of range")
     return result
 
 
@@ -224,9 +235,20 @@ def _reject_constant(name: str) -> Any:
 # one decoder for every line: json.loads(parse_constant=...) would build a
 # new decoder per call
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_WHITESPACE = json.decoder.WHITESPACE.match
 
 
 def _parse_jsonl_line(line_no: int, line: str) -> dict:
+    # a line that is one object from its first character, with only JSON
+    # whitespace after it, takes one scanner call; any other line goes
+    # through decode, whose errors are the messages reported
+    try:
+        obj, end = _DECODER.scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    else:
+        if isinstance(obj, dict) and _WHITESPACE(line, end).end() == len(line):
+            return obj
     try:
         obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
@@ -235,7 +257,8 @@ def _parse_jsonl_line(line_no: int, line: str) -> dict:
         if line.startswith("\ufeff"):
             msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
         raise CliError(f"line {line_no}: invalid JSON ({msg})") from exc
-    except ValueError as exc:  # NaN/Infinity, or an integer too long to convert
+    # NaN/Infinity, an integer too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"line {line_no}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise CliError(f"line {line_no}: expected a JSON object")
@@ -266,9 +289,10 @@ def _require_int(line_no: int, obj: dict, key: str, minimum: int | None = None) 
 def cmd_score(args: argparse.Namespace) -> int:
     opts = Options(args)
     config = resolve_scoring_config(opts)
-    if args.up < 0 or args.down < 0:
+    up, down = _to_int("up", args.up), _to_int("down", args.down)
+    if up < 0 or down < 0:
         raise CliError("up/down: vote counts must be non-negative")
-    tally = VoteTally(args.up, args.down)
+    tally = VoteTally(up, down)
     # a lone tally is its own question: maxima default to its own counts
     raw_n = _to_int("n-max", opts.get("n-max", tally.n))
     raw_u = _to_int("u-max", opts.get("u-max", tally.up))
@@ -310,14 +334,20 @@ def _emit_ranking(entries: Sequence[AnswerEntry], config: ScoringConfig, out: Te
     ranked = rank_answers(entries, config, raw_maxima)
     tallies = {entry.answer_id: entry.tally for entry in entries}
     start = "{" if question_id is None else f'{{"question_id": {_json_str(question_id)}, '
+    # answers with equal tallies share a breakdown, so its scores are
+    # formatted once; keyed by identity, since ``ranked`` keeps every
+    # breakdown alive and equal tallies are not assumed to share one
+    scores: dict[int, str] = {}
     for position, (answer_id, breakdown) in enumerate(ranked.entries, start=1):
         tally = tallies[answer_id]
-        out.write(
-            f'{start}"rank": {position}, "answer_id": {_json_str(answer_id)}, '
-            f'"up": {tally.up}, "down": {tally.down}, '
-            f'"wilson_lower": {_json12(breakdown.wilson.lower)}, '
-            f'"si": {_json12(breakdown.si)}, "combined": {_json12(breakdown.combined)}}}\n'
-        )
+        text = scores.get(id(breakdown))
+        if text is None:
+            text = scores[id(breakdown)] = (
+                f'"wilson_lower": {_json12(breakdown.wilson.lower)}, '
+                f'"si": {_json12(breakdown.si)}, "combined": {_json12(breakdown.combined)}}}\n'
+            )
+        out.write(f'{start}"rank": {position}, "answer_id": {_json_str(answer_id)}, '
+                  f'"up": {tally.up}, "down": {tally.down}, {text}')
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -385,6 +415,34 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+# --- output files -----------------------------------------------------------
+
+
+@contextmanager
+def _staged_outputs() -> Iterator[Callable[[str | Path], Path]]:
+    """Yield ``stage(target)``, which gives the temp path beside ``target``
+    that its bytes are written to.  When the block ends, every temp file is
+    renamed onto its target; when it raises, the temp files are removed and
+    no target is touched.  ``stage`` refuses a target that is a directory,
+    as ``open`` would, so that failure comes before any rename."""
+    staged: dict[Path, Path] = {}  # target -> temp
+
+    def stage(target: str | Path) -> Path:
+        target = Path(target)
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        tmp = staged[target] = target.parent / f".{target.name}.{os.getpid()}.tmp"
+        return tmp
+
+    try:
+        yield stage
+        for target, tmp in staged.items():
+            os.replace(tmp, target)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+
+
 # --- grid / sweep -----------------------------------------------------------
 
 
@@ -428,15 +486,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if out is None:
         emit_csv(grid, sys.stdout)
         return 0
-    # written to a temp file beside the target and renamed into place, so a
-    # failed run leaves whatever was at the target untouched
-    target = Path(out)
-    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
     try:
-        emit_csv(grid, tmp)
-        os.replace(tmp, out)
+        with _staged_outputs() as stage:
+            emit_csv(grid, stage(out))
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
         raise CliError(f"cannot write {out}: {exc}") from exc
     return 0
 
@@ -464,19 +517,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
 
     out_dir = Path(opts.get("out-dir", "grids"))
-    written: list[Path] = []
+    paths: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for point, grid in sweep(spec):
-            path = out_dir / f"grid_{point.slug()}.csv"
-            emit_csv(grid, path)
-            written.append(path)
-            # flushed per file, so a closed stdout is seen here and rolls back
-            print(path, flush=True)
+        with _staged_outputs() as stage:
+            for point, grid in sweep(spec):
+                path = out_dir / f"grid_{point.slug()}.csv"
+                emit_csv(grid, stage(path))
+                paths.append(path)
+            for path in paths:
+                print(path)
+            # flushed before any rename, so a closed stdout is seen while the
+            # targets are still untouched
+            sys.stdout.flush()
     except (ValueError, OSError) as exc:
-        for path in written:
-            if path.exists():
-                path.unlink()
         if isinstance(exc, BrokenPipeError):
             raise  # main reports the closed stdout
         raise CliError(str(exc)) from exc
@@ -549,28 +603,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     trajectory_path = opts.get("trajectory-out", "trajectory.jsonl")
     report_path = opts.get("report-out", "report.json")
-    written: list[str] = []
     try:
-        with open(trajectory_path, "w", encoding="utf-8", newline="\n") as fh:
-            written.append(trajectory_path)
-            for snap in trajectory.snapshots:
-                for label in trajectory.scorer_labels:
-                    ranked = snap.rankings[label]
-                    fh.write(json.dumps({
-                        "event_index": snap.event_index,
-                        "scorer": label,
-                        "ranking": [
-                            {"answer_id": answer_id, "combined": _round12(b.combined)}
-                            for answer_id, b in ranked.entries
-                        ],
-                    }, sort_keys=True) + "\n")
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            written.append(report_path)
-            fh.write(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
+        with _staged_outputs() as stage:
+            with open(stage(trajectory_path), "w", encoding="utf-8", newline="\n") as fh:
+                for snap in trajectory.snapshots:
+                    for label in trajectory.scorer_labels:
+                        ranked = snap.rankings[label]
+                        fh.write(json.dumps({
+                            "event_index": snap.event_index,
+                            "scorer": label,
+                            "ranking": [
+                                {"answer_id": answer_id, "combined": _round12(b.combined)}
+                                for answer_id, b in ranked.entries
+                            ],
+                        }, sort_keys=True) + "\n")
+            with open(stage(report_path), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
-        for path in written:  # never leave a partial trajectory or report behind
-            if os.path.exists(path):
-                os.remove(path)
         raise CliError(f"cannot write output: {exc}") from exc
     return 0
 

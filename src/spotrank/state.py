@@ -88,13 +88,24 @@ def rank_answers(
     """Score and order a batch of answers under one maxima snapshot.
 
     When ``raw_maxima`` is omitted it is computed from the answers themselves,
-    then floored per ``config.n_max_floor``.
+    then floored per ``config.n_max_floor``.  Answers with equal tallies share
+    one (frozen) :class:`ScoreBreakdown`.
     """
     entries = list(answers)
     if raw_maxima is None:
         raw_maxima = scan_maxima(entries)
     maxima = effective_maxima(*raw_maxima, floor=config.n_max_floor)
-    scored = [(entry, combined_score(entry.tally, maxima, config)) for entry in entries]
+    # under one maxima snapshot the score depends on the tally alone, so each
+    # distinct (up, down) is scored once and its entries share the breakdown
+    breakdowns: dict[tuple[int, int], ScoreBreakdown] = {}
+    scored = []
+    for entry in entries:
+        tally = entry.tally
+        key = (tally.up, tally.down)
+        breakdown = breakdowns.get(key)
+        if breakdown is None:
+            breakdown = breakdowns[key] = combined_score(tally, maxima, config)
+        scored.append((entry, breakdown))
     scored.sort(key=lambda pair: (-pair[1].combined, -pair[0].tally.up, pair[0].created_seq))
     return RankedList(tuple((e.answer_id, b) for e, b in scored), config, maxima)
 

@@ -9,8 +9,9 @@ it never touches the quadratic's solution formula.
 
 The output writers have byte oracles here too: the straightforward
 formatting that the fast writers in the package must reproduce exactly.
-So do the simulation's event generator (a linear scan per weighted pick)
-and its Kendall tau (an O(m^2) pair count).
+So do the simulation's event generator (a linear scan per weighted pick),
+its Kendall tau (an O(m^2) pair count) and ``rank_answers`` (one score per
+answer, where the package scores each distinct tally once).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import json
 
 import numpy as np
 
+from spotrank.scoring import combined_score, effective_maxima
 from spotrank.simulate import SIM_QUESTION_ID, SplitMix64
-from spotrank.state import VoteEvent
+from spotrank.state import RankedList, VoteEvent, scan_maxima
 
 
 def wilson_bisect(u: int, d: int, z: float, iters: int = 100) -> tuple[float, float]:
@@ -154,3 +156,15 @@ def kendall_tau_pairs(ranking_a, ranking_b) -> float:
     )
     total = m * (m - 1) // 2
     return 1.0 - 2.0 * discordant / total
+
+
+def rank_answers_reference(answers, config, raw_maxima=None) -> RankedList:
+    """One ``combined_score`` call per answer: the oracle for
+    ``state.rank_answers``."""
+    entries = list(answers)
+    if raw_maxima is None:
+        raw_maxima = scan_maxima(entries)
+    maxima = effective_maxima(*raw_maxima, floor=config.n_max_floor)
+    scored = [(entry, combined_score(entry.tally, maxima, config)) for entry in entries]
+    scored.sort(key=lambda pair: (-pair[1].combined, -pair[0].tally.up, pair[0].created_seq))
+    return RankedList(tuple((e.answer_id, b) for e, b in scored), config, maxima)

@@ -289,7 +289,8 @@ def test_criterion_10_full_resolution_grid_performance(tmp_path):
     grid = grid_scores(spec)
     emit_csv(grid, tmp_path / "full.csv")
     elapsed = time.perf_counter() - started
-    rows = sum(1 for line in open(tmp_path / "full.csv", encoding="utf-8"))
+    with open(tmp_path / "full.csv", encoding="utf-8") as fh:
+        rows = sum(1 for line in fh)
     print(f"[acceptance]   1001x1001 grid + CSV in {elapsed:.2f}s ({rows} lines)")
     verdict(10, "full-resolution grid and CSV under 5s", elapsed < 5.0 and grid.scores.shape == (1001, 1001))
 

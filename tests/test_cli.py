@@ -65,6 +65,16 @@ def test_score_rejects_negative_counts(capsys):
     assert "non-negative" in err
 
 
+@pytest.mark.parametrize("flag", ["up", "down", "n-max", "u-max", "d-max", "n-max-floor"])
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**400],
+                         ids=["2**63", "-2**63-1", "10**400"])
+def test_score_integer_flags_beyond_int64_are_out_of_range(capsys, flag, value):
+    counts = {"up": "1", "down": "0", flag: str(value)}
+    rc, out, err = run(capsys, "score", *(arg for name, v in counts.items() for arg in (f"--{name}", v)))
+    assert rc == 2 and out == ""
+    assert err == f"error: {flag}: out of range\n"
+
+
 def test_score_explicit_maxima(capsys):
     rc, out, _ = run(capsys, "score", "--up", "10", "--down", "0",
                      "--z", "2", "--p-weight", "0", "--n-max", "100")
@@ -195,6 +205,77 @@ def test_rank_output_bytes_match_json_dumps_on_special_floats(tmp_path, capsys, 
     assert rc == 0 and err == ""
     assert out == ranking_reference(fake, {a: VoteTally(1, 0) for a in scores})
     assert "NaN" in out and "-Infinity" in out and '"wilson_lower": -0.0' in out
+
+
+def test_rank_prints_each_rows_own_tally_when_a_breakdown_is_shared(tmp_path, capsys, monkeypatch):
+    shared = SimpleNamespace(wilson=SimpleNamespace(lower=0.25), si=0.1 + 0.2, combined=-0.0)
+    tallies = {"a": VoteTally(1, 0), "b": VoteTally(7, 3), "c": VoteTally(0, 12)}
+    fake = tuple((answer_id, shared) for answer_id in ("c", "a", "b"))
+    monkeypatch.setattr(cli, "rank_answers", lambda *args: SimpleNamespace(entries=fake))
+    path = tmp_path / "tallies.jsonl"
+    write_jsonl(path, [{"answer_id": a, "up": t.up, "down": t.down} for a, t in tallies.items()])
+    rc, out, err = run(capsys, "rank", str(path))
+    assert rc == 0 and err == ""
+    assert out == ranking_reference(fake, tallies)
+
+
+_OBJECT = '{"answer_id": "a", "up": 1, "down": 0}'
+_PARSED = {"answer_id": "a", "up": 1, "down": 0}
+
+
+@pytest.mark.parametrize("line,expected", [
+    pytest.param(_OBJECT + "\n", _PARSED, id="object"),
+    pytest.param(_OBJECT, _PARSED, id="no-newline"),
+    pytest.param("{}\n", {}, id="empty-object"),
+    pytest.param(" \t" + _OBJECT + "\n", _PARSED, id="leading-whitespace"),
+    pytest.param(_OBJECT + " \t \n", _PARSED, id="trailing-whitespace"),
+    pytest.param(_OBJECT + "\r\n", _PARSED, id="crlf"),
+    pytest.param("\ufeff" + _OBJECT + "\n", "Unexpected UTF-8 BOM", id="bom"),
+    pytest.param(_OBJECT + " x\n", "Extra data", id="extra-data"),
+    pytest.param(_OBJECT + _OBJECT + "\n", "Extra data", id="two-objects"),
+    pytest.param(_OBJECT + "\x0b\n", "Extra data", id="non-json-whitespace"),
+    pytest.param("[1, 2]\n", "expected a JSON object", id="array"),
+    pytest.param("7\n", "expected a JSON object", id="number"),
+    pytest.param("null\n", "expected a JSON object", id="null"),
+    pytest.param('{"answer_id": "a", "up": NaN}\n', "non-finite number NaN", id="nan-field"),
+    pytest.param("-Infinity\n", "non-finite number -Infinity", id="infinity"),
+    pytest.param('{"up": ' + "9" * 5000 + "}\n", "digits", id="int-5000-digits"),
+    pytest.param('{"answer_id": "a", "up": 1\n', "Expecting", id="unterminated"),
+    pytest.param(" \n", "Expecting value", id="blank"),
+    pytest.param("[" * 200_000 + "\n", "maximum recursion depth exceeded", id="deep-array"),
+    pytest.param('{"a": ' * 100_000 + "\n", "maximum recursion depth exceeded", id="deep-object"),
+])
+def test_parse_line_matches_the_decode_path(monkeypatch, line, expected):
+    def outcome():
+        try:
+            return cli._parse_jsonl_line(3, line)
+        except cli.CliError as exc:
+            return str(exc)
+
+    fast = outcome()
+    # the decode path alone, as if the single scanner call never matched
+    def no_match(string, idx):
+        raise StopIteration(idx)
+
+    monkeypatch.setattr(cli, "_DECODER",
+                        SimpleNamespace(decode=cli._DECODER.decode, scan_once=no_match))
+    assert fast == outcome()
+    if isinstance(expected, dict):
+        assert fast == expected
+    else:
+        assert fast.startswith("line 3: ") and expected in fast and "\n" not in fast
+
+
+@pytest.mark.parametrize("command", ["rank", "replay", "simulate"])
+def test_deeply_nested_line_exits_2_with_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "input.jsonl"
+    path.write_text("\n" + "[" * 200_000 + "\n", encoding="utf-8")
+    outputs = ["--trajectory-out", str(tmp_path / "t.jsonl"), "--report-out", str(tmp_path / "r.json")]
+    rc, out, err = run(capsys, command, str(path), *(outputs if command == "simulate" else []))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: line 2: invalid JSON (maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.jsonl"]
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -477,6 +558,18 @@ def test_grid_out_directory_exits_2_and_keeps_the_directory(tmp_path, capsys):
     assert [p.name for p in target.iterdir()] == ["keep.txt"]
 
 
+@pytest.mark.parametrize("command", ["grid", "sweep"])
+@pytest.mark.parametrize("flag", ["u-range", "d-range", "step", "n-max", "u-max", "d-max"])
+def test_grid_integer_flags_beyond_int64_are_out_of_range(tmp_path, capsys, command, flag):
+    geometry = {"u-range": "2", "d-range": "2", "n-max": "10", flag: str(10**400)}
+    rc, out, err = run(capsys, command, "--out-dir" if command == "sweep" else "--out",
+                       str(tmp_path / "out"),
+                       *(arg for name, value in geometry.items() for arg in (f"--{name}", value)))
+    assert rc == 2 and out == ""
+    assert err == f"error: {flag}: out of range\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_failed_write_leaves_existing_out_file_untouched(tmp_path, capsys, monkeypatch):
     target = tmp_path / "grid.csv"
     target.write_bytes(b"old bytes\n")
@@ -565,6 +658,41 @@ def test_sweep_failure_removes_partial_outputs(tmp_path, capsys):
     assert rc == 2
     assert "upvote" in err
     assert list(out_dir.iterdir()) == []  # the completed whole-kind file was rolled back
+
+
+def test_sweep_failure_keeps_existing_targets(tmp_path, capsys):
+    out_dir = tmp_path / "grids"
+    out_dir.mkdir()
+    existing = out_dir / "grid_z1_p0_whole_linear.csv"
+    existing.write_bytes(b"old bytes\n")
+    (out_dir / "grid_z2_p0_whole_linear.csv").mkdir()  # the later grid cannot be written
+    rc, out, err = run(capsys, "sweep", "--u-range", "3", "--d-range", "3", "--n-max", "10",
+                       "--out-dir", str(out_dir), "--z-values", "1,2", "--p-values", "0")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert existing.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "grid_z1_p0_whole_linear.csv", "grid_z2_p0_whole_linear.csv"]
+
+
+def test_sweep_failed_write_leaves_existing_target_untouched(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "grids"
+    out_dir.mkdir()
+    existing = out_dir / "grid_z1_p0_whole_linear.csv"
+    existing.write_bytes(b"old bytes\n")
+
+    def half_then_fail(grid, destination):
+        with open(destination, "w", encoding="utf-8") as fh:
+            fh.write("# partial\nu,d,score\n0,0,")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_csv", half_then_fail)
+    rc, out, err = run(capsys, "sweep", "--u-range", "3", "--d-range", "3", "--n-max", "10",
+                       "--out-dir", str(out_dir), "--z-values", "1", "--p-values", "0")
+    assert rc == 2 and out == ""
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert existing.read_bytes() == b"old bytes\n"
+    assert [p.name for p in out_dir.iterdir()] == [existing.name]
 
 
 def test_sweep_unwritable_out_dir_exits_2(tmp_path, capsys):
@@ -664,6 +792,34 @@ def test_simulate_unwritable_output_exits_2_and_leaves_no_file(tmp_path, capsys,
     assert not any(path.exists() for path in outputs.values())
 
 
+def test_simulate_failure_keeps_existing_trajectory(tmp_path, capsys):
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, PROFILES)
+    trajectory = tmp_path / "t.jsonl"
+    trajectory.write_bytes(b"old trajectory\n")
+    report = tmp_path / "r.json"
+    report.mkdir()
+    rc, out, err = run(capsys, "simulate", str(profiles), "--events", "60", "--cadence", "20",
+                       "--trajectory-out", str(trajectory), "--report-out", str(report))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert trajectory.read_bytes() == b"old trajectory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profiles.jsonl", "r.json", "t.jsonl"]
+
+
+@pytest.mark.parametrize("flag", ["events", "seed", "cadence"])
+@pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_simulate_integer_flags_beyond_int64_are_out_of_range(tmp_path, capsys, flag, value):
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, PROFILES)
+    rc, out, err = run(capsys, "simulate", str(profiles), f"--{flag}", str(value),
+                       "--trajectory-out", str(tmp_path / "t.jsonl"),
+                       "--report-out", str(tmp_path / "r.json"))
+    assert rc == 2 and out == ""
+    assert err == f"error: {flag}: out of range\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["profiles.jsonl"]
+
+
 # --- config file ---------------------------------------------------------------
 
 
@@ -761,3 +917,35 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "combined 0.714286" in result.stdout
+
+
+@pytest.mark.parametrize("content,reason", [
+    ("[" * 200_000, "maximum recursion depth exceeded"),
+    ('{"z": ' + "9" * 5000 + "}", "digits"),
+    (b'{"z": \xff}', "can't decode byte 0xff"),
+], ids=["deep-nesting", "int-5000-digits", "not-utf-8"])
+def test_config_file_that_cannot_be_decoded_exits_2(tmp_path, capsys, content, reason):
+    config = tmp_path / "run.json"
+    if isinstance(content, bytes):
+        config.write_bytes(content)
+    else:
+        config.write_text(content, encoding="utf-8")
+    rc, out, err = run(capsys, "score", "--up", "1", "--down", "0", "--config", str(config))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: config file {config}: invalid JSON (") and reason in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n-max-floor", 10**400), ("n-max-floor", 2**63), ("cadence", 1e400), ("poly-a", 10**400),
+], ids=["n-max-floor-10**400", "n-max-floor-2**63", "cadence-inf", "poly-a-10**400"])
+def test_config_file_numbers_beyond_range_are_out_of_range(tmp_path, capsys, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, PROFILES)
+    rc, out, err = run(capsys, "simulate", str(profiles), "--config", str(config),
+                       "--trajectory-out", str(tmp_path / "t.jsonl"),
+                       "--report-out", str(tmp_path / "r.json"))
+    assert rc == 2 and out == ""
+    assert err == f"error: {key}: out of range\n"

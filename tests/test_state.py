@@ -1,9 +1,13 @@
+import importlib
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spotrank.scoring import ScoringConfig, VoteTally, spotlight_index
+from helpers import rank_answers_reference
+from spotrank.scoring import EXP, LINEAR, LOG10, ScoringConfig, SiKind, VoteTally, spotlight_index
 from spotrank.state import (
     AnswerEntry,
     NegativeCountError,
@@ -266,6 +270,81 @@ def test_rank_answers_computes_maxima_when_omitted():
     assert ranked.maxima.n_max == 100
     si_by_id = {answer_id: b.si for answer_id, b in ranked.entries}
     assert si_by_id == {"a": 0.01, "b": 0.5, "c": 1.0}
+
+
+def _repeated_tallies(count=400, seed=7):
+    """Heavy-tailed tallies: most answers share a few small (up, down) pairs."""
+    rng = random.Random(seed)
+    entries = [
+        AnswerEntry(f"a{i}", VoteTally(rng.choice((0, 0, 1, 1, 2, 3)), rng.choice((0, 0, 1, 2))), i)
+        for i in range(count)
+    ]
+    return entries + [AnswerEntry("big", VoteTally(900, 40), count)]
+
+
+# distinct tallies that tie on the combined score under some of the configs
+# below: on n alone (whole, P = 0), on u alone (positive/upvote, P = 0), and
+# on p_hat alone (z = 0, P = 1); some of them tie on the up count too
+_TIED_TALLIES = [
+    AnswerEntry(answer_id, VoteTally(up, down), seq)
+    for seq, (answer_id, up, down) in enumerate([
+        ("n5_u3", 3, 2), ("n5_u2", 2, 3), ("n5_u5", 5, 0), ("n5_u0", 0, 5),
+        ("u2_n7", 2, 5), ("u2_n11", 2, 9), ("half_1", 1, 1), ("half_5", 5, 5),
+        ("again_n5_u3", 3, 2), ("none", 0, 0),
+    ])
+]
+
+
+def _shuffled(entries, seed=11):
+    """The same entries in an order other than their ``created_seq``."""
+    shuffled = list(entries)
+    random.Random(seed).shuffle(shuffled)
+    return shuffled
+
+
+_RANK_CONFIGS = [
+    ScoringConfig(z=z, p_weight=p_weight, si_kind=kind, si_transform=transform)
+    for z, p_weight, kind, transform in itertools.product(
+        (0.0, 2.0), (0.0, 0.5, 1.0), SiKind, (LINEAR, LOG10, EXP)
+    )
+]
+
+
+@pytest.mark.parametrize("entries", [
+    _repeated_tallies(),
+    _TIED_TALLIES,
+    _shuffled(_repeated_tallies() + [
+        AnswerEntry(f"t{e.answer_id}", e.tally, e.created_seq + 1000) for e in _TIED_TALLIES
+    ]),
+], ids=["repeated", "tied", "shuffled"])
+def test_rank_answers_matches_per_answer_reference(entries):
+    for config in _RANK_CONFIGS:
+        for raw_maxima in (None, (2000, 1500, 700)):
+            ranked = rank_answers(entries, config, raw_maxima)
+            expected = rank_answers_reference(entries, config, raw_maxima)
+            assert ranked.entries == expected.entries, config
+            assert ranked.maxima == expected.maxima
+
+
+def test_rank_answers_scores_each_distinct_tally_once(monkeypatch):
+    state_module = importlib.import_module("spotrank.state")
+    calls = Counter()
+    score = state_module.combined_score
+
+    def counting(tally, maxima, config):
+        calls[tally.up, tally.down] += 1
+        return score(tally, maxima, config)
+
+    monkeypatch.setattr(state_module, "combined_score", counting)
+    entries = _shuffled(_repeated_tallies())
+    tallies = {entry.answer_id: (entry.tally.up, entry.tally.down) for entry in entries}
+    for _ in range(2):  # the cache lives for one call
+        calls.clear()
+        ranked = rank_answers(entries, ScoringConfig())
+        assert calls == Counter(set(tallies.values()))
+    shared = {}
+    for answer_id, breakdown in ranked.entries:
+        assert shared.setdefault(tallies[answer_id], breakdown) is breakdown
 
 
 def test_maxima_unchanged_implies_si_unchanged():
