@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import os
 import sys
@@ -220,12 +221,38 @@ def resolve_scoring_config(opts: Options) -> ScoringConfig:
 
 
 def _open_input(path: str) -> TextIO:
+    """The JSONL input as strict UTF-8 text; ``-`` is stdin."""
     if path == "-":
-        return sys.stdin
+        # stdin's own errors handler is surrogateescape in UTF-8 mode; lines
+        # still end at "\n" only, as on sys.stdin
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:  # a text stream put in place of stdin
+            return sys.stdin
+        return io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
     try:
         return open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def _reading(path: str) -> Iterator[TextIO]:
+    """:func:`_open_input`, closed afterwards, except stdin itself.
+
+    Text is decoded in chunks as it is read, so a byte that is not UTF-8 is
+    reported for the input, not for a line.
+    """
+    fh = _open_input(path)
+    try:
+        yield fh
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise CliError(f"{name}: not valid UTF-8 ({exc.reason})") from exc
+    finally:
+        if path != "-":
+            fh.close()
+        elif fh is not sys.stdin:
+            fh.detach()  # leaves stdin open
 
 
 def _reject_constant(name: str) -> Any:
@@ -353,12 +380,8 @@ def _emit_ranking(entries: Sequence[AnswerEntry], config: ScoringConfig, out: Te
 def cmd_rank(args: argparse.Namespace) -> int:
     opts = Options(args)
     config = resolve_scoring_config(opts)
-    fh = _open_input(args.tallies)
-    try:
+    with _reading(args.tallies) as fh:
         entries = _read_tallies(fh)
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
     if entries:
         _emit_ranking(entries, config, sys.stdout)
     return 0
@@ -402,12 +425,8 @@ def _replay_events(fh: TextIO) -> dict[str, QuestionState]:
 def cmd_replay(args: argparse.Namespace) -> int:
     opts = Options(args)
     config = resolve_scoring_config(opts)
-    fh = _open_input(args.events)
-    try:
+    with _reading(args.events) as fh:
         states = _replay_events(fh)
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
     # written only after the last line, so a bad line leaves stdout empty
     for question_id, state in states.items():
         _emit_ranking(state.entries(), config, sys.stdout, question_id=question_id,
@@ -541,9 +560,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _read_profiles(path: str) -> tuple[AnswerProfile, ...]:
-    fh = _open_input(path)
     profiles: list[AnswerProfile] = []
-    try:
+    with _reading(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -559,9 +577,6 @@ def _read_profiles(path: str) -> tuple[AnswerProfile, ...]:
                 profiles.append(AnswerProfile(answer_id, float(up_probability), float(arrival_weight)))
             except ValueError as exc:
                 raise CliError(f"line {line_no}: {exc}") from exc
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
     return tuple(profiles)
 
 

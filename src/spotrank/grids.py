@@ -2,9 +2,10 @@
 
 The grids are the numeric surfaces behind contour plots of the scoring rules:
 cell (i, j) holds the score at u = i*step, d = j*step under one fixed maxima
-snapshot.  Evaluation is vectorized with numpy (a full 1001x1001 grid is ~1e6
-cells) but must agree with the scalar functions in :mod:`spotrank.scoring`;
-the test suite cross-checks the two paths cell by cell.
+snapshot.  Cells are computed by the scalar kernel in :mod:`spotrank.scoring`,
+so each one is bit for bit the ``combined_score`` of its tally: the Wilson
+bound runs that kernel's arithmetic on numpy columns, and the spotlight index
+is the scalar function evaluated once per distinct count, then gathered.
 
 Output is data, not images: long-format CSV with a ``u,d,score`` header and
 ``#`` metadata comments, consumable by any plotting tool.
@@ -12,7 +13,6 @@ Output is data, not images: long-format CSV with a ``u,d,score`` header and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, TextIO, Union
@@ -26,6 +26,9 @@ from .scoring import (
     SiKind,
     SiTransform,
     WholeSiVariant,
+    _si_of_count,
+    _si_parts,
+    _wilson_roots,
     validate_config,
 )
 
@@ -150,100 +153,29 @@ def _check_coverage(spec: GridSpec) -> None:
 
 
 def _average_grid(U: np.ndarray, D: np.ndarray) -> np.ndarray:
-    N = U + D
-    positive = N > 0
-    safe_n = np.where(positive, N, 1.0)
-    return np.where(positive, U / safe_n, 0.0)
+    return U / np.maximum(U + D, 1.0)  # 0/1 at the unvoted origin
 
 
 def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> np.ndarray:
-    # mirrors scoring.wilson_interval operation for operation so the two paths agree
     N = U + D
-    positive = N > 0
-    safe_n = np.where(positive, N, 1.0)
-    p = np.where(positive, U / safe_n, 0.0)
-    if z == 0.0:
-        return np.where(positive, p, 0.0 if bound is Bound.LOWER else 1.0)
-    zz = z * z
-    center = p + zz / (2.0 * safe_n)
-    spread = (z / (2.0 * safe_n)) * np.sqrt(4.0 * safe_n * p * (1.0 - p) + zz)
-    denom = 1.0 + zz / safe_n
+    p, lower, upper = _wilson_roots(U, np.maximum(N, 1.0), z, np.sqrt)
     if bound is Bound.LOWER:
-        values = np.maximum(0.0, np.minimum((center - spread) / denom, p))
-        return np.where(positive, values, 0.0)
-    values = np.minimum(1.0, np.maximum((center + spread) / denom, p))
-    return np.where(positive, values, 1.0)
+        return np.where(N > 0, np.maximum(0.0, np.minimum(lower, p)), 0.0)
+    return np.where(N > 0, np.minimum(1.0, np.maximum(upper, p)), 1.0)
 
 
-def _si_grid(
-    U: np.ndarray,
-    D: np.ndarray,
-    maxima: Maxima,
-    kind: SiKind,
-    transform: SiTransform,
-    whole_variant: WholeSiVariant,
-) -> np.ndarray:
-    N = U + D
-    name = transform.name
-
-    if name == "linear":
-        if kind is SiKind.WHOLE:
-            if whole_variant is WholeSiVariant.SHIFT_DENOM:
-                return N / (maxima.n_max + 1)
-            if whole_variant is WholeSiVariant.SHIFT_BOTH:
-                return (N + 1) / (maxima.n_max + 1)
-            return N / maxima.n_max
-        if kind is SiKind.NET:
-            return (U - D) / maxima.n_max
-        if kind is SiKind.POSITIVE:
-            return (U / maxima.n_max) + np.zeros_like(D)
-        if kind is SiKind.NEGATIVE:
-            return -(D / maxima.n_max) + np.zeros_like(U)
-        if kind is SiKind.UPVOTE:
-            return (U / maxima.u_max) + np.zeros_like(D)
-        return -(D / maxima.d_max) + np.zeros_like(U)
-
-    if name == "log":
-        log_nmax = math.log10(maxima.n_max + 1)
-        if kind is SiKind.WHOLE:
-            return np.log10(N + 1) / log_nmax
-        if kind is SiKind.NET:
-            diff = U - D
-            return np.sign(diff) * np.log10(np.abs(diff) + 1) / log_nmax
-        if kind is SiKind.POSITIVE:
-            return np.log10(U + 1) / log_nmax + np.zeros_like(D)
-        if kind is SiKind.NEGATIVE:
-            return -(np.log10(D + 1) / log_nmax) + np.zeros_like(U)
-        if kind is SiKind.UPVOTE:
-            return np.log10(U + 1) / math.log10(maxima.u_max + 1) + np.zeros_like(D)
-        return -(np.log10(D + 1) / math.log10(maxima.d_max + 1)) + np.zeros_like(U)
-
-    if name == "exp":
-        if kind is SiKind.WHOLE:
-            return np.exp(N - maxima.n_max)
-        if kind is SiKind.NET:
-            return np.exp(U - D - maxima.n_max)
-        if kind is SiKind.POSITIVE:
-            return np.exp(U - maxima.n_max) + np.zeros_like(D)
-        if kind is SiKind.NEGATIVE:
-            return -np.exp(D - maxima.n_max) + np.zeros_like(U)
-        if kind is SiKind.UPVOTE:
-            return np.exp(U - maxima.u_max) + np.zeros_like(D)
-        return -np.exp(D - maxima.d_max) + np.zeros_like(U)
-
-    a = transform.exponent
-    if kind is SiKind.WHOLE:
-        return (N / maxima.n_max) ** a
-    if kind is SiKind.NET:
-        diff = U - D
-        return np.sign(diff) * (np.abs(diff) / maxima.n_max) ** a
-    if kind is SiKind.POSITIVE:
-        return (U / maxima.n_max) ** a + np.zeros_like(D)
-    if kind is SiKind.NEGATIVE:
-        return -((D / maxima.n_max) ** a) + np.zeros_like(U)
-    if kind is SiKind.UPVOTE:
-        return (U / maxima.u_max) ** a + np.zeros_like(D)
-    return -((D / maxima.d_max) ** a) + np.zeros_like(U)
+def _si_grid(rows: int, cols: int, step: int, maxima: Maxima, config: ScoringConfig) -> np.ndarray:
+    # every count is a multiple of step, so the scalar kernel runs once per
+    # distinct multiple and the cells gather from that table
+    kind, transform = config.si_kind, config.si_transform
+    index, top, negate = _si_parts(
+        np.arange(rows)[:, None], np.arange(cols)[None, :], maxima, kind, transform
+    )
+    variant = config.whole_variant if kind is SiKind.WHOLE else WholeSiVariant.PLAIN
+    lo, hi = int(index.min()), int(index.max())
+    table = np.array([_si_of_count(k * step, top, transform, variant) for k in range(lo, hi + 1)])
+    si = table[index - lo]
+    return np.negative(si, out=si, where=negate)
 
 
 def _metadata(spec: GridSpec) -> dict[str, str]:
@@ -290,7 +222,7 @@ def grid_scores(spec: GridSpec) -> ScoreGrid:
     else:
         config = validate_config(scorer.config)
         w = _wilson_bound_grid(U, D, config.z, config.bound)
-        si = _si_grid(U, D, spec.maxima, config.si_kind, config.si_transform, config.whole_variant)
+        si = _si_grid(len(u_values), len(d_values), spec.step, spec.maxima, config)
         scores = config.p_weight * w + (1.0 - config.p_weight) * si
     return ScoreGrid(u_values, d_values, scores, _metadata(spec))
 

@@ -168,30 +168,37 @@ class ScoreBreakdown:
     combined: float
 
 
+def _wilson_roots(up, n, z: float, sqrt):
+    """Sample proportion and both unclamped roots for n > 0 votes.
+
+    Only ``+ - * /`` and ``sqrt``, which numpy rounds exactly as Python does,
+    so a grid that passes arrays and ``np.sqrt`` gets the scalar bits.
+    """
+    p = up / n
+    zz = z * z
+    center = p + zz / (2.0 * n)
+    spread = (z / (2.0 * n)) * sqrt(4.0 * n * p * (1.0 - p) + zz)
+    denom = 1.0 + zz / n
+    return p, (center - spread) / denom, (center + spread) / denom
+
+
 def wilson_interval(tally: VoteTally, z: float) -> WilsonInterval:
     """Both bounds of the Wilson score interval for the up-vote proportion.
 
-    With no votes the interval is (0, 1), total uncertainty.  With z = 0 it
-    collapses to the sample proportion.  Otherwise:
+    With no votes the interval is (0, 1), total uncertainty.  Otherwise
 
         (p + z^2/2n +- z/2n * sqrt(4n*p*(1-p) + z^2)) / (1 + z^2/n)
+
+    which with z = 0 collapses to the sample proportion exactly.
     """
     if z < 0:
         raise ValueError("z must be non-negative")
     n = tally.n
     if n == 0:
         return WilsonInterval(0.0, 1.0)
-    p = tally.up / n
-    if z == 0.0:
-        return WilsonInterval(p, p)
-    zz = z * z
-    center = p + zz / (2.0 * n)
-    spread = (z / (2.0 * n)) * math.sqrt(4.0 * n * p * (1.0 - p) + zz)
-    denom = 1.0 + zz / n
+    p, lower, upper = _wilson_roots(tally.up, n, z, math.sqrt)
     # the exact roots bracket p and lie in [0, 1]; clamps shave float dust only
-    lower = max(0.0, min((center - spread) / denom, p))
-    upper = min(1.0, max((center + spread) / denom, p))
-    return WilsonInterval(lower, upper)
+    return WilsonInterval(max(0.0, min(lower, p)), min(1.0, max(upper, p)))
 
 
 def average_rating(tally: VoteTally) -> float:
@@ -213,8 +220,46 @@ def effective_maxima(raw_n_max: int, raw_u_max: int, raw_d_max: int, floor: int 
     return Maxima(max(raw_n_max, floor), max(raw_u_max, floor), max(raw_d_max, floor))
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
+def _si_parts(u, d, maxima: Maxima, kind: SiKind, transform: SiTransform):
+    """``(count, top, negate)``: the index is ``-f(count, top)`` if negate.
+
+    Only ``+``, ``-``, ``abs`` and ``<``, so it runs on ints and on integer
+    numpy arrays alike.  Net under exp keeps the signed difference; under the
+    other transforms it is sgn(u-d) * f(|u-d|).
+    """
+    if kind is SiKind.WHOLE:
+        return u + d, maxima.n_max, False
+    if kind is SiKind.NET:
+        if transform.name == "exp":
+            return u - d, maxima.n_max, False
+        return abs(u - d), maxima.n_max, u < d
+    if kind is SiKind.POSITIVE:
+        return u, maxima.n_max, False
+    if kind is SiKind.NEGATIVE:
+        return d, maxima.n_max, True
+    if kind is SiKind.UPVOTE:
+        return u, maxima.u_max, False
+    return d, maxima.d_max, True
+
+
+def _si_of_count(count: int, top: int, transform: SiTransform, whole_variant: WholeSiVariant) -> float:
+    """The transformed ratio of one integer count to its maximum.
+
+    ``whole_variant`` must be PLAIN for every kind but WHOLE.
+    """
+    name = transform.name
+    if name == "linear":
+        if whole_variant is WholeSiVariant.PLAIN:
+            return count / top
+        if whole_variant is WholeSiVariant.SHIFT_DENOM:
+            return count / (top + 1)
+        return (count + 1) / (top + 1)
+    if name == "log":
+        return math.log10(count + 1) / math.log10(top + 1)
+    if name == "exp":
+        return math.exp(count - top)
+    # poly: take the ratio first so large counts cannot overflow
+    return (count / top) ** transform.exponent
 
 
 def spotlight_index(
@@ -234,69 +279,11 @@ def spotlight_index(
     evaluated as exp(count - max) with the subtraction done first; never as a
     quotient of two huge exponentials.
     """
-    u, d = tally.up, tally.down
-    n = u + d
-    name = transform.name
-
-    if name == "linear":
-        if kind is SiKind.WHOLE:
-            if whole_variant is WholeSiVariant.SHIFT_DENOM:
-                return n / (maxima.n_max + 1)
-            if whole_variant is WholeSiVariant.SHIFT_BOTH:
-                return (n + 1) / (maxima.n_max + 1)
-            return n / maxima.n_max
-        if kind is SiKind.NET:
-            return (u - d) / maxima.n_max
-        if kind is SiKind.POSITIVE:
-            return u / maxima.n_max
-        if kind is SiKind.NEGATIVE:
-            return -(d / maxima.n_max)
-        if kind is SiKind.UPVOTE:
-            return u / maxima.u_max
-        return -(d / maxima.d_max)
-
-    if name == "log":
-        log_nmax = math.log10(maxima.n_max + 1)
-        if kind is SiKind.WHOLE:
-            return math.log10(n + 1) / log_nmax
-        if kind is SiKind.NET:
-            diff = u - d
-            return _sign(diff) * math.log10(abs(diff) + 1) / log_nmax
-        if kind is SiKind.POSITIVE:
-            return math.log10(u + 1) / log_nmax
-        if kind is SiKind.NEGATIVE:
-            return -(math.log10(d + 1) / log_nmax)
-        if kind is SiKind.UPVOTE:
-            return math.log10(u + 1) / math.log10(maxima.u_max + 1)
-        return -(math.log10(d + 1) / math.log10(maxima.d_max + 1))
-
-    if name == "exp":
-        if kind is SiKind.WHOLE:
-            return math.exp(n - maxima.n_max)
-        if kind is SiKind.NET:
-            return math.exp(u - d - maxima.n_max)
-        if kind is SiKind.POSITIVE:
-            return math.exp(u - maxima.n_max)
-        if kind is SiKind.NEGATIVE:
-            return -math.exp(d - maxima.n_max)
-        if kind is SiKind.UPVOTE:
-            return math.exp(u - maxima.u_max)
-        return -math.exp(d - maxima.d_max)
-
-    # poly: take the ratio first so large counts cannot overflow
-    a = transform.exponent
-    if kind is SiKind.WHOLE:
-        return (n / maxima.n_max) ** a
-    if kind is SiKind.NET:
-        diff = u - d
-        return _sign(diff) * (abs(diff) / maxima.n_max) ** a
-    if kind is SiKind.POSITIVE:
-        return (u / maxima.n_max) ** a
-    if kind is SiKind.NEGATIVE:
-        return -((d / maxima.n_max) ** a)
-    if kind is SiKind.UPVOTE:
-        return (u / maxima.u_max) ** a
-    return -((d / maxima.d_max) ** a)
+    count, top, negate = _si_parts(tally.up, tally.down, maxima, kind, transform)
+    if whole_variant is not WholeSiVariant.PLAIN and kind is not SiKind.WHOLE:
+        whole_variant = WholeSiVariant.PLAIN
+    si = _si_of_count(count, top, transform, whole_variant)
+    return -si if negate else si
 
 
 def si_range(kind: SiKind, transform: SiTransform = LINEAR) -> tuple[float, float]:

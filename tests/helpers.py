@@ -9,6 +9,10 @@ it never touches the quadratic's solution formula.
 
 The output writers have byte oracles here too: the straightforward
 formatting that the fast writers in the package must reproduce exactly.
+The scalar scoring kernel has bit oracles too: the Wilson interval with its
+own z = 0 branch and the spotlight index as one branch per kind and
+transform, the form that kernel had before it was factored for reuse by
+the grids.
 So do the simulation's event generator (a linear scan per weighted pick),
 its Kendall tau (an O(m^2) pair count) and ``rank_answers`` (one score per
 answer, where the package scores each distinct tally once).
@@ -17,10 +21,20 @@ answer, where the package scores each distinct tally once).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from spotrank.scoring import combined_score, effective_maxima
+from spotrank.scoring import (
+    Maxima,
+    SiKind,
+    SiTransform,
+    VoteTally,
+    WholeSiVariant,
+    WilsonInterval,
+    combined_score,
+    effective_maxima,
+)
 from spotrank.simulate import SIM_QUESTION_ID, SplitMix64
 from spotrank.state import RankedList, VoteEvent, scan_maxima
 
@@ -87,6 +101,101 @@ def wilson_bisect_arrays(
         hi = np.where(take, hi, mid)
     upper = 0.5 * (lo + hi)
     return lower, upper
+
+
+def wilson_interval_reference(tally: VoteTally, z: float) -> WilsonInterval:
+    """Closed form with a separate z = 0 branch: the bit oracle for
+    ``scoring.wilson_interval``."""
+    n = tally.n
+    if n == 0:
+        return WilsonInterval(0.0, 1.0)
+    p = tally.up / n
+    if z == 0.0:
+        return WilsonInterval(p, p)
+    zz = z * z
+    center = p + zz / (2.0 * n)
+    spread = (z / (2.0 * n)) * math.sqrt(4.0 * n * p * (1.0 - p) + zz)
+    denom = 1.0 + zz / n
+    lower = max(0.0, min((center - spread) / denom, p))
+    upper = min(1.0, max((center + spread) / denom, p))
+    return WilsonInterval(lower, upper)
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def spotlight_index_reference(
+    tally: VoteTally,
+    maxima: Maxima,
+    kind: SiKind,
+    transform: SiTransform,
+    whole_variant: WholeSiVariant = WholeSiVariant.PLAIN,
+) -> float:
+    """One branch per kind and transform: the bit oracle for
+    ``scoring.spotlight_index``."""
+    u, d = tally.up, tally.down
+    n = u + d
+    name = transform.name
+
+    if name == "linear":
+        if kind is SiKind.WHOLE:
+            if whole_variant is WholeSiVariant.SHIFT_DENOM:
+                return n / (maxima.n_max + 1)
+            if whole_variant is WholeSiVariant.SHIFT_BOTH:
+                return (n + 1) / (maxima.n_max + 1)
+            return n / maxima.n_max
+        if kind is SiKind.NET:
+            return (u - d) / maxima.n_max
+        if kind is SiKind.POSITIVE:
+            return u / maxima.n_max
+        if kind is SiKind.NEGATIVE:
+            return -(d / maxima.n_max)
+        if kind is SiKind.UPVOTE:
+            return u / maxima.u_max
+        return -(d / maxima.d_max)
+
+    if name == "log":
+        log_nmax = math.log10(maxima.n_max + 1)
+        if kind is SiKind.WHOLE:
+            return math.log10(n + 1) / log_nmax
+        if kind is SiKind.NET:
+            diff = u - d
+            return _sign(diff) * math.log10(abs(diff) + 1) / log_nmax
+        if kind is SiKind.POSITIVE:
+            return math.log10(u + 1) / log_nmax
+        if kind is SiKind.NEGATIVE:
+            return -(math.log10(d + 1) / log_nmax)
+        if kind is SiKind.UPVOTE:
+            return math.log10(u + 1) / math.log10(maxima.u_max + 1)
+        return -(math.log10(d + 1) / math.log10(maxima.d_max + 1))
+
+    if name == "exp":
+        if kind is SiKind.WHOLE:
+            return math.exp(n - maxima.n_max)
+        if kind is SiKind.NET:
+            return math.exp(u - d - maxima.n_max)
+        if kind is SiKind.POSITIVE:
+            return math.exp(u - maxima.n_max)
+        if kind is SiKind.NEGATIVE:
+            return -math.exp(d - maxima.n_max)
+        if kind is SiKind.UPVOTE:
+            return math.exp(u - maxima.u_max)
+        return -math.exp(d - maxima.d_max)
+
+    a = transform.exponent
+    if kind is SiKind.WHOLE:
+        return (n / maxima.n_max) ** a
+    if kind is SiKind.NET:
+        diff = u - d
+        return _sign(diff) * (abs(diff) / maxima.n_max) ** a
+    if kind is SiKind.POSITIVE:
+        return (u / maxima.n_max) ** a
+    if kind is SiKind.NEGATIVE:
+        return -((d / maxima.n_max) ** a)
+    if kind is SiKind.UPVOTE:
+        return (u / maxima.u_max) ** a
+    return -((d / maxima.d_max) ** a)
 
 
 def write_csv_reference(grid, fh) -> None:

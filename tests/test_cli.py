@@ -278,6 +278,30 @@ def test_deeply_nested_line_exits_2_with_one_error_line(tmp_path, capsys, comman
     assert sorted(p.name for p in tmp_path.iterdir()) == ["input.jsonl"]
 
 
+@pytest.mark.parametrize("command", ["rank", "replay", "simulate"])
+def test_input_that_is_not_utf8_exits_2_with_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "input.jsonl"
+    # the bad byte sits past the first decode chunk of the file
+    path.write_bytes(b"\n" * 10_000 + b'{"answer_id": "a\xff"}\n')
+    outputs = ["--trajectory-out", str(tmp_path / "t.jsonl"), "--report-out", str(tmp_path / "r.json")]
+    rc, out, err = run(capsys, command, str(path), *(outputs if command == "simulate" else []))
+    assert rc == 2 and out == ""
+    assert err == f"error: {path}: not valid UTF-8 (invalid start byte)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.jsonl"]
+
+
+def test_stdin_that_is_not_utf8_exits_2_in_utf8_mode():
+    # UTF-8 mode gives sys.stdin the surrogateescape handler, which would
+    # let the byte through into the output
+    result = subprocess.run(
+        [sys.executable, "-X", "utf8", "-m", "spotrank", "rank", "-"],
+        input=b'{"answer_id": "a", "up": 1, "down": 0}\n{"answer_id": "\xff", "up": 1, "down": 0}\n',
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 2 and result.stdout == b""
+    assert result.stderr == b"error: stdin: not valid UTF-8 (invalid start byte)\n"
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_rank_rejects_non_finite_literals(tmp_path, capsys, literal):
     path = tmp_path / "tallies.jsonl"

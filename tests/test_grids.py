@@ -21,12 +21,16 @@ from spotrank.scoring import (
     EXP,
     LINEAR,
     LOG10,
+    Bound,
     Maxima,
     ScoringConfig,
     SiKind,
     VoteTally,
+    WholeSiVariant,
+    average_rating,
     combined_score,
     poly,
+    wilson_interval,
 )
 
 
@@ -138,6 +142,64 @@ def test_vote_specific_kinds_match_scalar(kind, transform):
         for j, d in enumerate(grid.d_values):
             expected = combined_score(VoteTally(int(u), int(d)), maxima, config).combined
             assert grid.scores[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+# Two geometries: every count at step 1, and a step-7 grid whose maxima put
+# exp(count - max) below the smallest double for some cells, subnormal for
+# others and normal for the rest.
+EXACT_GEOMETRIES = [
+    (60, 45, Maxima(140, 90, 70), 1),
+    (420, 350, Maxima(1200, 800, 600), 7),
+]
+EXACT_CONFIGS = (
+    [(kind, transform, WholeSiVariant.PLAIN)
+     for kind in SiKind for transform in (LINEAR, LOG10, EXP, poly(2.5))]
+    + [(SiKind.WHOLE, transform, variant)
+       for transform in (LINEAR, LOG10, EXP, poly(2.5))
+       for variant in (WholeSiVariant.SHIFT_DENOM, WholeSiVariant.SHIFT_BOTH)]
+    # a variant set on another kind is ignored
+    + [(SiKind.NET, LINEAR, WholeSiVariant.SHIFT_BOTH),
+       (SiKind.UPVOTE, LINEAR, WholeSiVariant.SHIFT_DENOM)]
+)
+
+
+def assert_cells_are_bits_of(grid, score_of):
+    """Every cell equals ``score_of(tally)`` bit for bit (so -0.0 != 0.0)."""
+    expected = np.array([
+        [score_of(VoteTally(u, d)) for d in grid.d_values.tolist()]
+        for u in grid.u_values.tolist()
+    ])
+    differ = grid.scores.view(np.uint64) != expected.view(np.uint64)
+    assert not differ.any(), (
+        f"{int(differ.sum())} of {differ.size} cells differ, first at "
+        f"(u, d) index {tuple(int(k) for k in np.argwhere(differ)[0])}"
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,transform,variant", EXACT_CONFIGS,
+    ids=[f"{k.value}-{t.name}-{v.value}" for k, t, v in EXACT_CONFIGS],
+)
+def test_improved_grid_cells_are_combined_score_bits(kind, transform, variant):
+    for u_range, d_range, maxima, step in EXACT_GEOMETRIES:
+        for z in (0.0, 1.96):
+            for bound in Bound:
+                config = ScoringConfig(z=z, p_weight=0.37, si_kind=kind, si_transform=transform,
+                                       bound=bound, whole_variant=variant)
+                grid = grid_scores(GridSpec(u_range, d_range, maxima, ImprovedScorer(config), step))
+                assert_cells_are_bits_of(
+                    grid, lambda tally: combined_score(tally, maxima, config).combined
+                )
+
+
+@pytest.mark.parametrize("u_range,d_range,maxima,step", EXACT_GEOMETRIES)
+def test_baseline_grid_cells_are_scalar_bits(u_range, d_range, maxima, step):
+    for z in (0.0, 1.96):
+        for bound in Bound:
+            grid = grid_scores(GridSpec(u_range, d_range, maxima, WilsonScorer(z, bound), step))
+            assert_cells_are_bits_of(grid, lambda tally: wilson_interval(tally, z).pick(bound))
+    grid = grid_scores(GridSpec(u_range, d_range, maxima, AverageRatingScorer(), step))
+    assert_cells_are_bits_of(grid, average_rating)
 
 
 # --- coverage validation --------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +28,7 @@ from spotrank.scoring import (
     wilson_interval,
 )
 
-from helpers import wilson_bisect
+from helpers import spotlight_index_reference, wilson_bisect, wilson_interval_reference
 
 ALL_KINDS = list(SiKind)
 ALL_TRANSFORMS = [LINEAR, LOG10, EXP, poly(2.0)]
@@ -321,6 +323,76 @@ def test_transforms_preserve_strict_order(case_a, case_b, n_max_extra, kind, tra
         assert spotlight_index(tally_a, maxima, kind, transform) > spotlight_index(
             tally_b, maxima, kind, transform
         )
+
+
+# --- the factored kernel against its branch-per-case form --------------------
+
+
+def bits(x: float) -> bytes:
+    """The double's bytes, so that 0.0 and -0.0 differ."""
+    return struct.pack("<d", x)
+
+
+def random_cases(rng: random.Random, count: int):
+    """(tally, maxima) pairs from tiny to int64-sized counts.  Maxima cover
+    the tally or fall short of it by a little, and reach past exp's
+    underflow point (max - count >= 746) for some tallies."""
+    cases = []
+    for i in range(count):
+        scale = (3, 60, 2000, 10**6, 2**62)[i % 5]
+        u, d = rng.randint(0, scale), rng.randint(0, scale)
+        if rng.random() < 0.2:
+            d = u  # net is zero, the signed-zero case
+        raw = [u + d, u, d]
+        if rng.random() < 0.8:
+            raw = [m + rng.choice((0, 1, rng.randint(0, 2000))) for m in raw]
+        else:
+            raw = [max(m - rng.randint(0, 50), 0) for m in raw]
+        cases.append((VoteTally(u, d), effective_maxima(*raw)))
+    return cases
+
+
+@pytest.mark.parametrize("transform", [LINEAR, LOG10, EXP, poly(0.5), poly(2.0), poly(3.7)])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_spotlight_index_bits_match_branch_per_case_oracle(kind, transform):
+    rng = random.Random(f"{kind.value}-{transform.name}-{transform.exponent}")
+    for variant in WholeSiVariant:
+        for tally, maxima in random_cases(rng, 600):
+            expected = spotlight_index_reference(tally, maxima, kind, transform, variant)
+            got = spotlight_index(tally, maxima, kind, transform, variant)
+            assert bits(got) == bits(expected), (tally, maxima, variant, got, expected)
+
+
+def test_wilson_interval_bits_match_oracle_with_zero_z_branch():
+    rng = random.Random(1927)
+    z_values = [0.0, -0.0, 0.5, 1.0, 1.96, 2.0, 10.0]
+    for i, (tally, _) in enumerate(random_cases(rng, 20000)):
+        z = z_values[i % len(z_values)] if i % 2 else rng.uniform(0.0, 25.0)
+        got = wilson_interval(tally, z)
+        expected = wilson_interval_reference(tally, z)
+        for bound in Bound:
+            assert bits(got.pick(bound)) == bits(expected.pick(bound)), (tally, z, bound)
+
+
+@pytest.mark.parametrize("bound", list(Bound))
+def test_combined_score_bits_match_oracles(bound):
+    rng = random.Random(bound.value)
+    transforms = [LINEAR, LOG10, EXP, poly(2.5)]
+    variants = list(WholeSiVariant)
+    for i, (tally, maxima) in enumerate(random_cases(rng, 6000)):
+        kind = ALL_KINDS[i % len(ALL_KINDS)]
+        transform = transforms[(i // len(ALL_KINDS)) % len(transforms)]
+        variant = variants[i % len(variants)]
+        config = ScoringConfig(z=rng.choice([0.0, 1.96, rng.uniform(0, 10)]),
+                               p_weight=rng.random(), si_kind=kind, si_transform=transform,
+                               bound=bound, whole_variant=variant)
+        got = combined_score(tally, maxima, config)
+        used = wilson_interval_reference(tally, config.z).pick(bound)
+        si = spotlight_index_reference(tally, maxima, kind, transform, variant)
+        expected = config.p_weight * used + (1.0 - config.p_weight) * si
+        assert bits(got.wilson_used) == bits(used)
+        assert bits(got.si) == bits(si)
+        assert bits(got.combined) == bits(expected), (tally, maxima, config)
 
 
 # --- combined score ----------------------------------------------------------
