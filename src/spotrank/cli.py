@@ -262,6 +262,9 @@ def _reject_constant(name: str) -> Any:
 # one decoder for every line: json.loads(parse_constant=...) would build a
 # new decoder per call
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# replay's one-pass check calls the scanner by this name; _parse_jsonl_line
+# and decode() look it up on the decoder
+_SCAN_ONCE = _DECODER.scan_once
 _WHITESPACE = json.decoder.WHITESPACE.match
 
 
@@ -308,6 +311,16 @@ def _require_int(line_no: int, obj: dict, key: str, minimum: int | None = None) 
     if not _INT_MIN <= value <= _INT_MAX:
         raise CliError(f"line {line_no}: field {key!r} is out of range")
     return value
+
+
+def _require_number(line_no: int, obj: dict, key: str, default: Any = None) -> float:
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"line {line_no}: field {key!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond float range
+        raise CliError(f"line {line_no}: field {key!r} is out of range") from exc
 
 
 # --- score ------------------------------------------------------------------
@@ -393,33 +406,74 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def _replay_events(fh: TextIO) -> dict[str, QuestionState]:
     """Parse, validate and apply each line before reading the next, so memory
     holds the answers seen, never the events; states are in first-appearance
-    order of their questions."""
+    order of their questions.
+
+    A line that is one object from its first character, with five fields of
+    the exact types, in range, in timestamp order and with a nonzero delta,
+    is checked in one pass and applied as a delta.  Any other line, and any
+    line whose delta is rejected, goes through :func:`_replay_line`, which
+    reports the first failing check.
+    """
     states: dict[str, QuestionState] = {}
-    last_ts: int | None = None
+    last_ts = _INT_MIN  # every in-range ts passes the order check
+    scan, whitespace, lo, hi = _SCAN_ONCE, _WHITESPACE, _INT_MIN, _INT_MAX
     for line_no, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        obj = _parse_jsonl_line(line_no, line)
-        question_id = _require_str(line_no, obj, "question_id")
-        answer_id = _require_str(line_no, obj, "answer_id")
-        up_delta = _require_int(line_no, obj, "up_delta")
-        down_delta = _require_int(line_no, obj, "down_delta")
-        ts = _require_int(line_no, obj, "ts")
-        if last_ts is not None and ts < last_ts:
-            raise CliError(f"line {line_no}: out-of-order timestamp {ts} after {last_ts}")
-        last_ts = ts
         try:
-            event = VoteEvent(question_id, answer_id, up_delta, down_delta, ts)
-        except ValueError as exc:
-            raise CliError(f"line {line_no}: {exc}") from exc
-        state = states.get(question_id)
-        if state is None:
-            state = states[question_id] = QuestionState(question_id)
-        try:
-            state.apply_event(event)
-        except NegativeCountError as exc:
-            raise CliError(f"line {line_no}: {exc}") from exc
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            obj = None
+        if type(obj) is dict and whitespace(line, end).end() == len(line):
+            get = obj.get
+            question_id = get("question_id")
+            answer_id = get("answer_id")
+            up_delta = get("up_delta")
+            down_delta = get("down_delta")
+            ts = get("ts")
+            # type(x) is int excludes bool, as _require_int does
+            if (type(question_id) is str and type(answer_id) is str
+                    and type(up_delta) is int and type(down_delta) is int and type(ts) is int
+                    and lo <= up_delta <= hi and lo <= down_delta <= hi
+                    and last_ts <= ts <= hi and (up_delta or down_delta)):
+                state = states.get(question_id)
+                if state is None:
+                    state = states[question_id] = QuestionState(question_id)
+                try:
+                    state.apply_delta(answer_id, up_delta, down_delta)
+                except NegativeCountError:
+                    pass  # the state is untouched; _replay_line reports it
+                else:
+                    last_ts = ts
+                    continue
+        last_ts = _replay_line(line_no, line, states, last_ts)
     return states
+
+
+def _replay_line(line_no: int, line: str, states: dict[str, QuestionState],
+                 last_ts: int) -> int:
+    """Check and apply one line field by field, raising the message of the
+    first check that fails; returns the timestamp to order the next line by."""
+    if not line.strip():
+        return last_ts
+    obj = _parse_jsonl_line(line_no, line)
+    question_id = _require_str(line_no, obj, "question_id")
+    answer_id = _require_str(line_no, obj, "answer_id")
+    up_delta = _require_int(line_no, obj, "up_delta")
+    down_delta = _require_int(line_no, obj, "down_delta")
+    ts = _require_int(line_no, obj, "ts")
+    if ts < last_ts:
+        raise CliError(f"line {line_no}: out-of-order timestamp {ts} after {last_ts}")
+    try:
+        event = VoteEvent(question_id, answer_id, up_delta, down_delta, ts)
+    except ValueError as exc:
+        raise CliError(f"line {line_no}: {exc}") from exc
+    state = states.get(question_id)
+    if state is None:
+        state = states[question_id] = QuestionState(question_id)
+    try:
+        state.apply_event(event)
+    except NegativeCountError as exc:
+        raise CliError(f"line {line_no}: {exc}") from exc
+    return ts
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -494,6 +548,12 @@ def _build_grid_spec(opts: Options) -> GridSpec:
         raise CliError(str(exc)) from exc
 
 
+def _too_large(spec: GridSpec) -> CliError:
+    rows = spec.u_max_grid // spec.step + 1
+    cols = spec.d_max_grid // spec.step + 1
+    return CliError(f"a grid of {rows} x {cols} cells does not fit in memory")
+
+
 def cmd_grid(args: argparse.Namespace) -> int:
     opts = Options(args)
     spec = _build_grid_spec(opts)
@@ -501,6 +561,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         grid = grid_scores(spec)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    except MemoryError as exc:
+        raise _too_large(spec) from exc
     out = opts.get("out")
     if out is None:
         emit_csv(grid, sys.stdout)
@@ -553,6 +615,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if isinstance(exc, BrokenPipeError):
             raise  # main reports the closed stdout
         raise CliError(str(exc)) from exc
+    except MemoryError as exc:
+        raise _too_large(base) from exc
     return 0
 
 
@@ -567,14 +631,10 @@ def _read_profiles(path: str) -> tuple[AnswerProfile, ...]:
                 continue
             obj = _parse_jsonl_line(line_no, line)
             answer_id = _require_str(line_no, obj, "answer_id")
-            up_probability = obj.get("up_probability")
-            arrival_weight = obj.get("arrival_weight", 1.0)
-            if not isinstance(up_probability, (int, float)) or isinstance(up_probability, bool):
-                raise CliError(f"line {line_no}: field 'up_probability' must be a number")
-            if not isinstance(arrival_weight, (int, float)) or isinstance(arrival_weight, bool):
-                raise CliError(f"line {line_no}: field 'arrival_weight' must be a number")
+            up_probability = _require_number(line_no, obj, "up_probability")
+            arrival_weight = _require_number(line_no, obj, "arrival_weight", 1.0)
             try:
-                profiles.append(AnswerProfile(answer_id, float(up_probability), float(arrival_weight)))
+                profiles.append(AnswerProfile(answer_id, up_probability, arrival_weight))
             except ValueError as exc:
                 raise CliError(f"line {line_no}: {exc}") from exc
     return tuple(profiles)

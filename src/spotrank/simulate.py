@@ -7,6 +7,15 @@ from a single stream seeded with ``spec.seed``: the first picks the answer by
 arrival weight, the second picks the vote direction against the answer's
 up-probability.
 
+The stream is drawn as numpy columns, one block of events at a time, and
+gives the same events as the scalar :class:`SplitMix64` with a
+``bisect_right`` pick: splitmix64 is wrapping 64-bit integer arithmetic,
+which ``uint64`` arrays do exactly; the top 53 bits times ``2**-53`` is an
+exact float; and ``searchsorted(..., side="right")`` on the running weight
+sums is the same search as ``bisect_right``.  Between two snapshots the
+votes only add up, so :func:`simulate` applies each answer's window total as
+one delta, in the order the answers first appear.
+
 Stability is quantified with Kendall tau-a over adjacent ranking snapshots
 (rankings are strict total orders after tie-breaking, so no tie handling is
 needed) plus cross-scorer agreement on the final ranking.
@@ -14,10 +23,11 @@ needed) plus cross-scorer agreement on the final ranking.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .scoring import ScoringConfig, validate_config
 from .state import QuestionState, RankedList, VoteEvent
@@ -25,6 +35,18 @@ from .state import QuestionState, RankedList, VoteEvent
 SIM_QUESTION_ID = "sim"
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# events per draw: two uniforms each, so memory stays at a few blocks of
+# 2 * _DRAW_BLOCK words whatever the stream length
+_DRAW_BLOCK = 1 << 15
+
+# uint64 operands throughout, so NumPy 1.x value-based casting and NumPy 2
+# promotion both keep every operation in wrapping uint64 arithmetic
+_U64_GAMMA = np.uint64(_GAMMA)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64_30, _U64_27, _U64_31, _U64_11 = (np.uint64(k) for k in (30, 27, 31, 11))
 
 
 class SplitMix64:
@@ -34,7 +56,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -113,33 +135,68 @@ class StabilityReport:
     agreement: Mapping[tuple[str, str], float]  # final-ranking tau per scorer pair
 
 
-def generate_events(spec: StreamSpec) -> list[VoteEvent]:
-    """The seeded single-vote event stream; timestamp = event index in ms."""
-    rng = SplitMix64(spec.seed)
+def _splitmix64_floats(state: int, count: int) -> np.ndarray:
+    """The next ``count`` :meth:`SplitMix64.next_float` values after ``state``."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _U64_GAMMA
+    z += np.uint64(state)
+    z ^= z >> _U64_30
+    z *= _U64_MIX1
+    z ^= z >> _U64_27
+    z *= _U64_MIX2
+    z ^= z >> _U64_31
+    z >>= _U64_11
+    return z.astype(np.float64) * 2.0**-53
+
+
+def _stream_blocks(spec: StreamSpec, cut_every: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The event stream as blocks of (profile index, is-up vote) columns, of
+    at most ``_DRAW_BLOCK`` events; a block also ends after every multiple of
+    ``cut_every`` events."""
     profiles = spec.profiles
     weights = [p.arrival_weight for p in profiles]
     # sum() is not bounds[-1]: from Python 3.12 it adds floats with
     # compensation, and the stream must not depend on which one is used
     total_weight = sum(weights)
-    bounds = list(accumulate(weights))
-    last = len(profiles) - 1
+    # the first profile whose running weight sum exceeds the pick; the search
+    # stops short of the last sum, so a pick at or past it (float rounding)
+    # falls to the last profile
+    bounds = np.array(list(accumulate(weights))[:-1], dtype=np.float64)
+    up_probability = np.array([p.up_probability for p in profiles], dtype=np.float64)
+    state = spec.seed & _MASK64
+    start = 0
+    while start < spec.total_events:
+        count = min(_DRAW_BLOCK, cut_every - start % cut_every, spec.total_events - start)
+        uniforms = _splitmix64_floats(state, 2 * count)
+        state = (state + 2 * count * _GAMMA) & _MASK64
+        start += count
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, which sorts last
+            picks = np.searchsorted(bounds, uniforms[0::2] * total_weight, side="right")
+        yield picks, uniforms[1::2] < up_probability[picks]
+
+
+def generate_events(spec: StreamSpec) -> list[VoteEvent]:
+    """The seeded single-vote event stream; timestamp = event index in ms."""
+    ids = [p.answer_id for p in spec.profiles]
     events = []
-    for i in range(spec.total_events):
-        # the first profile whose running weight sum exceeds the pick; the
-        # search stops short of the last sum, so a pick at or past it (float
-        # rounding) falls to the last profile
-        chosen = profiles[bisect_right(bounds, rng.next_float() * total_weight, 0, last)]
-        is_up = rng.next_float() < chosen.up_probability
-        events.append(
-            VoteEvent(
-                question_id=SIM_QUESTION_ID,
-                answer_id=chosen.answer_id,
-                up_delta=1 if is_up else 0,
-                down_delta=0 if is_up else 1,
-                timestamp=i,
-            )
-        )
+    for picks, is_up in _stream_blocks(spec, spec.total_events):
+        for k, up in zip(picks.tolist(), is_up.tolist()):
+            events.append(VoteEvent(SIM_QUESTION_ID, ids[k], int(up), int(not up), len(events)))
     return events
+
+
+def _apply_window(state: QuestionState, ids: list[str], picks: np.ndarray,
+                  is_up: np.ndarray) -> None:
+    """Apply a run of single-vote events as one delta per answer, in the
+    order the answers first appear, so new answers are created in stream
+    order."""
+    up = np.bincount(picks[is_up], minlength=len(ids))
+    down = np.bincount(picks[~is_up], minlength=len(ids))
+    touched, first = np.unique(picks, return_index=True)
+    touched = touched[np.argsort(first)]
+    for k, up_delta, down_delta in zip(touched.tolist(), up[touched].tolist(),
+                                       down[touched].tolist()):
+        state.apply_delta(ids[k], up_delta, down_delta)
 
 
 def simulate(
@@ -150,7 +207,8 @@ def simulate(
     """Run the stream through a question state, ranking at a fixed cadence.
 
     Rankings are recorded after every ``cadence``-th event and after the final
-    one.  Identical inputs always produce identical trajectories.
+    one.  Identical inputs always produce identical trajectories, equal to
+    applying :func:`generate_events` one event at a time.
     """
     if not scorers:
         raise ValueError("at least one scorer is required")
@@ -159,13 +217,18 @@ def simulate(
     for config in scorers.values():
         validate_config(config)
 
+    ids = [p.answer_id for p in spec.profiles]
     state = QuestionState(SIM_QUESTION_ID)
     snapshots = []
-    for i, event in enumerate(generate_events(spec), start=1):
-        state.apply_event(event)
-        if i % cadence == 0 or i == spec.total_events:
+    applied = 0
+    for picks, is_up in _stream_blocks(spec, cadence):
+        _apply_window(state, ids, picks, is_up)
+        applied += len(picks)
+        if applied % cadence == 0 or applied == spec.total_events:
             rankings = {label: state.rank(config) for label, config in scorers.items()}
-            snapshots.append(TrajectorySnapshot(i, rankings))
+            snapshots.append(TrajectorySnapshot(applied, rankings))
+    # each delta stood for a block's single-vote events
+    state.event_count = spec.total_events
     return Trajectory(tuple(snapshots), state, tuple(scorers))
 
 

@@ -1,10 +1,10 @@
 """Online per-question state: vote-delta ingestion, incremental maxima, ranking.
 
 One ``QuestionState`` is a single-writer unit: callers must serialize
-``apply_event`` per question (different questions are independent).  Reads go
-through :meth:`QuestionState.snapshot`, which is immutable.  The cached maxima
-make the common all-positive-deltas path O(1); a retraction that touches the
-current maximum holder triggers a full rescan.
+``apply_event``/``apply_delta`` per question (different questions are
+independent).  Reads go through :meth:`QuestionState.snapshot`, which is
+immutable.  The cached maxima make the common all-positive-deltas path O(1);
+a retraction that touches the current maximum holder triggers a full rescan.
 """
 
 from __future__ import annotations
@@ -159,25 +159,35 @@ class QuestionState:
         return VoteTally(*counts) if counts is not None else None
 
     def apply_event(self, event: VoteEvent) -> bool:
-        """Apply one vote delta; returns True iff any cached maximum changed.
+        """Apply one vote event; returns True iff any cached maximum changed.
 
-        A True return signals that every answer's spotlight index is stale.
-        Unknown answer ids are created on first sight with a zero tally.
-        Rejected events (wrong question, count going negative) leave the state
-        untouched.
+        Events for another question raise :class:`UnknownQuestionError`; the
+        rest is :meth:`apply_delta`.
         """
         if event.question_id != self.question_id:
             raise UnknownQuestionError(
                 f"event for question {event.question_id!r} applied to {self.question_id!r}"
             )
-        old_up, old_down = self._counts.get(event.answer_id, (0, 0))
-        new_up = old_up + event.up_delta
-        new_down = old_down + event.down_delta
+        return self.apply_delta(event.answer_id, event.up_delta, event.down_delta)
+
+    def apply_delta(self, answer_id: str, up_delta: int, down_delta: int) -> bool:
+        """Add one vote delta to an answer; returns True iff any cached
+        maximum changed, which signals that every answer's spotlight index is
+        stale.
+
+        Unknown answer ids are created on first sight with a zero tally.  A
+        delta that would drive a count negative raises
+        :class:`NegativeCountError` and leaves the state untouched.  The
+        caller checks that the delta is not zero, as :class:`VoteEvent` does.
+        """
+        old_up, old_down = self._counts.get(answer_id, (0, 0))
+        new_up = old_up + up_delta
+        new_down = old_down + down_delta
         if new_up < 0 or new_down < 0:
             raise NegativeCountError(
-                f"event would drive answer {event.answer_id!r} to ({new_up}, {new_down})"
+                f"event would drive answer {answer_id!r} to ({new_up}, {new_down})"
             )
-        self._counts[event.answer_id] = (new_up, new_down)
+        self._counts[answer_id] = (new_up, new_down)
         self.event_count += 1
 
         old_n = old_up + old_down

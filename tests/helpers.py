@@ -14,8 +14,12 @@ own z = 0 branch and the spotlight index as one branch per kind and
 transform, the form that kernel had before it was factored for reuse by
 the grids.
 So do the simulation's event generator (a linear scan per weighted pick),
-its Kendall tau (an O(m^2) pair count) and ``rank_answers`` (one score per
-answer, where the package scores each distinct tally once).
+the simulation itself (one ``apply_event`` per event, where the package
+applies one delta per answer between snapshots), its Kendall tau (an O(m^2)
+pair count), ``rank_answers`` (one score per answer, where the package
+scores each distinct tally once) and ``replay`` (every field checked on its
+own and one ``VoteEvent`` per line, where the package checks a well-formed
+line in one pass).
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ import math
 
 import numpy as np
 
+from spotrank import cli
 from spotrank.scoring import (
     Maxima,
+    ScoringConfig,
     SiKind,
     SiTransform,
     VoteTally,
@@ -36,7 +42,13 @@ from spotrank.scoring import (
     effective_maxima,
 )
 from spotrank.simulate import SIM_QUESTION_ID, SplitMix64
-from spotrank.state import RankedList, VoteEvent, scan_maxima
+from spotrank.state import (
+    NegativeCountError,
+    QuestionState,
+    RankedList,
+    VoteEvent,
+    scan_maxima,
+)
 
 
 def wilson_bisect(u: int, d: int, z: float, iters: int = 100) -> tuple[float, float]:
@@ -277,3 +289,57 @@ def rank_answers_reference(answers, config, raw_maxima=None) -> RankedList:
     scored = [(entry, combined_score(entry.tally, maxima, config)) for entry in entries]
     scored.sort(key=lambda pair: (-pair[1].combined, -pair[0].tally.up, pair[0].created_seq))
     return RankedList(tuple((e.answer_id, b) for e, b in scored), config, maxima)
+
+
+def simulate_reference(spec, scorers, cadence):
+    """One ``apply_event`` per event of :func:`generate_events_linear` and a
+    ``rank`` per scorer at each snapshot: the oracle for
+    ``simulate.simulate``.  Returns the ``(event_index, rankings)`` pairs and
+    the final state."""
+    state = QuestionState(SIM_QUESTION_ID)
+    snapshots = []
+    for i, event in enumerate(generate_events_linear(spec), start=1):
+        state.apply_event(event)
+        if i % cadence == 0 or i == spec.total_events:
+            snapshots.append((i, {label: state.rank(config) for label, config in scorers.items()}))
+    return snapshots, state
+
+
+def replay_reference(lines, config=ScoringConfig()) -> tuple[int, str, str]:
+    """The per-line replay loop: each field checked by its own ``cli`` check,
+    then one ``VoteEvent`` and one ``apply_event`` per line.  Returns the
+    exit code, stdout and stderr of ``spotrank replay`` on ``lines``."""
+    states = {}
+    last_ts = None
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            obj = cli._parse_jsonl_line(line_no, line)
+            question_id = cli._require_str(line_no, obj, "question_id")
+            answer_id = cli._require_str(line_no, obj, "answer_id")
+            up_delta = cli._require_int(line_no, obj, "up_delta")
+            down_delta = cli._require_int(line_no, obj, "down_delta")
+            ts = cli._require_int(line_no, obj, "ts")
+            if last_ts is not None and ts < last_ts:
+                raise cli.CliError(f"line {line_no}: out-of-order timestamp {ts} after {last_ts}")
+            last_ts = ts
+            try:
+                event = VoteEvent(question_id, answer_id, up_delta, down_delta, ts)
+            except ValueError as exc:
+                raise cli.CliError(f"line {line_no}: {exc}") from exc
+            state = states.setdefault(question_id, QuestionState(question_id))
+            try:
+                state.apply_event(event)
+            except NegativeCountError as exc:
+                raise cli.CliError(f"line {line_no}: {exc}") from exc
+    except cli.CliError as exc:
+        return 2, "", f"error: {exc}\n"
+    out = []
+    for question_id, state in states.items():
+        entries = state.entries()
+        ranked = rank_answers_reference(
+            entries, config, (state.raw_n_max, state.raw_u_max, state.raw_d_max))
+        out.append(ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries},
+                                     question_id=question_id))
+    return 0, "".join(out), ""

@@ -1,3 +1,6 @@
+import contextlib
+import importlib
+import io
 import json
 import math
 import os
@@ -7,8 +10,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import ranking_reference
+from helpers import ranking_reference, replay_reference
 from spotrank import cli
 from spotrank.cli import main
 from spotrank.scoring import LOG10, ScoringConfig, SiKind, VoteTally
@@ -537,6 +541,138 @@ def test_replay_delta_beyond_int64_is_out_of_range(tmp_path, capsys):
     assert err == "error: line 2: field 'up_delta' is out of range\n"
 
 
+_GOOD_LINES = [
+    '{"question_id": "q", "answer_id": "a", "up_delta": 1, "down_delta": 0, "ts": 1}\n',
+    '{"question_id": "q", "answer_id": "b", "up_delta": 1, "down_delta": 0, "ts": 2}\n',
+    '{"question_id": "q", "answer_id": "a", "up_delta": 0, "down_delta": 1, "ts": 3}\n',
+]
+_LINE_2 = _GOOD_LINES[1]
+
+# line 2 of _GOOD_LINES replaced, with the stderr the field-by-field path
+# gives; None marks a line that is accepted
+_BAD_LINE_2 = {
+    "blank": ("\n", None),
+    "whitespace-only": (" \t \n", None),
+    "crlf": (_LINE_2[:-1] + "\r\n", None),
+    "bom": ("\ufeff" + _LINE_2,
+            "error: line 2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))\n"),
+    "trailing-junk": (_LINE_2[:-1] + " x\n", "error: line 2: invalid JSON (Extra data)\n"),
+    "array": ("[1, 2]\n", "error: line 2: expected a JSON object\n"),
+    "nan": (_LINE_2.replace('"up_delta": 1', '"up_delta": NaN'),
+            "error: line 2: invalid JSON (non-finite number NaN)\n"),
+    "bool-delta": (_LINE_2.replace('"up_delta": 1', '"up_delta": true'),
+                   "error: line 2: field 'up_delta' must be an integer\n"),
+    "float-delta": (_LINE_2.replace('"up_delta": 1', '"up_delta": 1.0'),
+                    "error: line 2: field 'up_delta' must be an integer\n"),
+    "delta-2**63": (_LINE_2.replace('"up_delta": 1', f'"up_delta": {2**63}'),
+                    "error: line 2: field 'up_delta' is out of range\n"),
+    "missing-field": (_LINE_2.replace(', "ts": 2', ""),
+                      "error: line 2: field 'ts' must be an integer\n"),
+    "non-string-id": (_LINE_2.replace('"answer_id": "b"', '"answer_id": 5'),
+                      "error: line 2: field 'answer_id' must be a string\n"),
+    "zero-delta": (_LINE_2.replace('"up_delta": 1', '"up_delta": 0'),
+                   "error: line 2: vote event must change at least one count\n"),
+    "out-of-order-ts": (_LINE_2.replace('"ts": 2', '"ts": 0'),
+                        "error: line 2: out-of-order timestamp 0 after 1\n"),
+    "retraction-below-zero": (_LINE_2.replace('"up_delta": 1', '"up_delta": -1'),
+                              "error: line 2: event would drive answer 'b' to (-1, 0)\n"),
+    "deep-nesting": ("[" * 200_000 + "\n",
+                     "error: line 2: invalid JSON (maximum recursion depth exceeded"
+                     " while decoding a JSON array from a unicode string)\n"),
+}
+
+
+def _checked_path_only(monkeypatch):
+    """Send every replay line through the field-by-field checks."""
+    def no_scan(line, idx):
+        raise StopIteration(idx)
+    monkeypatch.setattr(cli, "_SCAN_ONCE", no_scan)
+
+
+@pytest.mark.parametrize("one_pass", [True, False], ids=["one-pass", "checked-only"])
+@pytest.mark.parametrize("case", list(_BAD_LINE_2))
+def test_replay_bad_line_table(tmp_path, capsys, monkeypatch, case, one_pass):
+    line, expected_err = _BAD_LINE_2[case]
+    if not one_pass:
+        _checked_path_only(monkeypatch)
+    path = tmp_path / "events.jsonl"
+    # newline="" keeps the CR of the CRLF case on disk
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_GOOD_LINES[0] + line + _GOOD_LINES[2])
+    rc, out, err = run(capsys, "replay", str(path))
+    if expected_err is None:
+        # a blank line is skipped and a CRLF ending is read as "\n"
+        kept = _GOOD_LINES if case == "crlf" else [_GOOD_LINES[0], _GOOD_LINES[2]]
+        assert (rc, err) == (0, "")
+        assert out == replay_reference(kept)[1]
+    else:
+        assert (rc, out, err) == (2, "", expected_err)
+    with open(path, encoding="utf-8") as fh:
+        assert (rc, out, err) == replay_reference(fh)
+
+
+def test_replay_one_pass_and_checked_paths_build_the_same_states(monkeypatch):
+    lines = [
+        # (question, answer) repeats every 12 lines, so each retraction
+        # undoes an up vote of 12 lines before
+        json.dumps({"question_id": f"q{i % 3}", "answer_id": f"a{i % 4}",
+                    "up_delta": -1 if i >= 12 and i % 5 == 0 else 1 + i % 2,
+                    "down_delta": int(i % 3 == 0), "ts": i // 2}) + "\n"
+        for i in range(60)
+    ]
+    lines.insert(10, "\n")
+    lines.insert(20, "  " + lines[20])  # leading whitespace: the checked path only
+    fast = cli._replay_events(lines)
+    _checked_path_only(monkeypatch)
+    checked = cli._replay_events(lines)
+    assert list(fast) == list(checked)
+    for question_id, state in fast.items():
+        assert state.snapshot() == checked[question_id].snapshot()
+
+
+_FIELD_VALUES = st.one_of(
+    st.integers(-3, 4), st.integers(), st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1]),
+    st.booleans(), st.none(), st.floats(allow_nan=False), st.text(max_size=3),
+)
+
+_MUTATIONS = st.one_of(
+    st.sampled_from([line for line, _ in _BAD_LINE_2.values() if len(line) < 1000]),
+    st.text(max_size=20).map(lambda text: text + "\n"),
+    st.builds(
+        lambda key, value: json.dumps({"question_id": "q0", "answer_id": "a0", "up_delta": 1,
+                                       "down_delta": 0, "ts": 5, key: value}) + "\n",
+        st.sampled_from(["question_id", "answer_id", "up_delta", "down_delta", "ts", "x"]),
+        _FIELD_VALUES,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    events=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(-1, 2), st.integers(-1, 2),
+                  st.integers(-1, 3)),
+        max_size=25,
+    ),
+    mutations=st.lists(st.tuples(st.integers(0, 30), _MUTATIONS), max_size=3),
+)
+def test_replay_equals_the_per_line_reference(tmp_path, capsys, events, mutations):
+    lines, ts = [], 0
+    for q, a, up, down, step in events:
+        ts += step
+        lines.append(json.dumps({"question_id": f"q{q}", "answer_id": f"a{a}",
+                                 "up_delta": up, "down_delta": down, "ts": ts}) + "\n")
+    for position, line in mutations:
+        lines.insert(min(position, len(lines)), line)
+    path = tmp_path / "events.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    result = run(capsys, "replay", str(path))
+    with open(path, encoding="utf-8") as fh:
+        assert result == replay_reference(fh)
+
+
 # --- grid ----------------------------------------------------------------------
 
 
@@ -634,6 +770,25 @@ def test_grid_wilson_scorer(capsys):
     assert "5,5,0.5" in out.splitlines()
 
 
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100001, 100001)")
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])
+def test_grid_too_large_for_memory_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                               to_file):
+    # the grid's first full-size array is never allocated: the Wilson bound
+    # raises as numpy does when it cannot allocate
+    monkeypatch.setattr(importlib.import_module("spotrank.grids"), "_wilson_bound_grid",
+                        _out_of_memory)
+    out = tmp_path / "grid.csv"
+    rc, stdout, err = run(capsys, "grid", "--u-range", "100000", "--d-range", "100000",
+                          "--n-max", "200000", *(["--out", str(out)] if to_file else []))
+    assert (rc, stdout) == (2, "")
+    assert err == "error: a grid of 100001 x 100001 cells does not fit in memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- sweep ---------------------------------------------------------------------
 
 
@@ -726,6 +881,26 @@ def test_sweep_unwritable_out_dir_exits_2(tmp_path, capsys):
                        "--out-dir", str(blocker / "grids"))
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_sweep_grid_too_large_for_memory_exits_2_and_removes_partial_outputs(
+        tmp_path, capsys, monkeypatch):
+    grids_module = importlib.import_module("spotrank.grids")
+    real = grids_module._wilson_bound_grid
+    calls = []
+
+    def second_grid_out_of_memory(*args):
+        calls.append(args)
+        return real(*args) if len(calls) == 1 else _out_of_memory()
+
+    monkeypatch.setattr(grids_module, "_wilson_bound_grid", second_grid_out_of_memory)
+    out_dir = tmp_path / "grids"
+    rc, out, err = run(capsys, "sweep", "--u-range", "2", "--d-range", "2", "--n-max", "4",
+                       "--z-values", "1", "--p-values", "0,1", "--out-dir", str(out_dir))
+    assert (rc, out) == (2, "")
+    assert err == "error: a grid of 3 x 3 cells does not fit in memory\n"
+    assert len(calls) == 2
+    assert list(out_dir.iterdir()) == []  # the first grid's file was rolled back
 
 
 # --- simulate ------------------------------------------------------------------
@@ -973,3 +1148,76 @@ def test_config_file_numbers_beyond_range_are_out_of_range(tmp_path, capsys, key
                        "--report-out", str(tmp_path / "r.json"))
     assert rc == 2 and out == ""
     assert err == f"error: {key}: out of range\n"
+
+
+def test_simulate_profile_numbers_beyond_float_range_are_out_of_range(tmp_path, capsys):
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text(f'{{"answer_id": "a", "up_probability": 1, "arrival_weight": {10**400}}}\n',
+                        encoding="utf-8")
+    rc, out, err = run(capsys, "simulate", str(profiles),
+                       "--trajectory-out", str(tmp_path / "t.jsonl"),
+                       "--report-out", str(tmp_path / "r.json"))
+    assert (rc, out) == (2, "")
+    assert err == "error: line 1: field 'arrival_weight' is out of range\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profiles.jsonl"]
+
+
+# --- fuzz ------------------------------------------------------------------------
+
+_FUZZ_KEYS = st.sampled_from([
+    "answer_id", "question_id", "up", "down", "up_delta", "down_delta", "ts",
+    "up_probability", "arrival_weight",
+]) | st.text(max_size=3)
+_FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([2**63 - 1, 2**63, 10**400, 1e308, 5e-324]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_IDS = st.sampled_from(["a", "b", "c", "q"])
+# lines of the shape each command reads, so runs also get past the checks
+_FUZZ_WELL_FORMED = {
+    "rank": st.fixed_dictionaries({"answer_id": _IDS, "up": st.integers(0, 9),
+                                   "down": st.integers(0, 9)}),
+    "replay": st.fixed_dictionaries({"question_id": _IDS, "answer_id": _IDS,
+                                     "up_delta": st.integers(-1, 2),
+                                     "down_delta": st.integers(-1, 2),
+                                     "ts": st.integers(0, 3)}),
+    "simulate": st.fixed_dictionaries({"answer_id": _IDS, "up_probability": st.floats(0, 1),
+                                       "arrival_weight": st.floats(1e-300, 1e300)}),
+}
+
+
+def _fuzz_lines(command):
+    well_formed = _FUZZ_WELL_FORMED[command].map(json.dumps)
+    line = st.one_of(
+        well_formed,
+        st.dictionaries(_FUZZ_KEYS, _FUZZ_VALUES, max_size=6).map(json.dumps),
+        _FUZZ_VALUES.map(json.dumps),
+    ).map(lambda text: text.encode("utf-8", "surrogatepass"))
+    # half the inputs hold well-formed lines only, so runs also succeed
+    return (st.lists(well_formed.map(str.encode), max_size=6)
+            | st.lists(line | st.binary(max_size=12), max_size=6))
+
+
+@pytest.mark.parametrize("command", ["rank", "replay", "simulate"])
+def test_main_on_arbitrary_jsonl_exits_0_or_2_with_one_error_line(tmp_path, command):
+    path = tmp_path / "input.jsonl"
+    outputs = ["--events", "30", "--cadence", "7", "--trajectory-out", str(tmp_path / "t.jsonl"),
+               "--report-out", str(tmp_path / "r.json")] if command == "simulate" else []
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=_fuzz_lines(command), newline=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    def check(lines, newline):
+        path.write_bytes(newline.join(lines) + newline)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, str(path), *outputs])
+        if rc == 0:
+            assert err.getvalue() == ""
+        else:
+            assert rc == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    check()

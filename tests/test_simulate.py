@@ -215,6 +215,48 @@ def test_simulate_validates_inputs():
         simulate(spec, {"bad": ScoringConfig(p_weight=2.0)}, cadence=10)
 
 
+# (up_probability, arrival_weight) per profile, and the stream seed
+_ORACLE_CASES = {
+    "one-profile": ([(0.5, 1.0)], 0),
+    "tied": ([((i + 0.5) / 7, 2.5) for i in range(7)], 1),
+    "ratio-1e-12": ([(0.2, 1.0), (0.7, 1e-12), (0.5, 1.0), (0.9, 1e-12)], 2),
+    "ratio-1e12": ([(0.4, 1e12), (0.6, 1.0), (0.1, 1e-12), (0.8, 3.0)], 3),
+    "sum-overflows": ([(0.3, 1.0), (0.6, 1e308), (0.9, 1e308), (0.5, 2.0)], 4),
+    "negative-seed": ([(0.3, 1.0), (0.6, 2.0), (0.9, 0.5)], -12345),
+    "seed-2**64+k": ([(0.3, 1.0), (0.6, 2.0), (0.9, 0.5)], 2**64 + 7),
+    "certain-votes": ([(0.0, 1.0), (1.0, 2.0), (0.0, 0.5), (1.0, 1.0)], 5),
+}
+_ORACLE_EVENTS = 150
+
+
+@pytest.mark.parametrize("block", [None, 1, 5], ids=["block-default", "block-1", "block-5"])
+@pytest.mark.parametrize("cadence", [1, 7, _ORACLE_EVENTS, _ORACLE_EVENTS + 1000])
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_simulate_matches_per_event_oracle(monkeypatch, case, cadence, block):
+    if block is not None:
+        monkeypatch.setattr(importlib.import_module("spotrank.simulate"), "_DRAW_BLOCK", block)
+    profiles, seed = _ORACLE_CASES[case]
+    spec = spec_of(*((f"p{i}", up, w) for i, (up, w) in enumerate(profiles)),
+                   total_events=_ORACLE_EVENTS, seed=seed)
+    scorers = {"wilson": WILSON, "blend": BLEND}
+    assert generate_events(spec) == generate_events_linear(spec)
+
+    snapshots, state = helpers.simulate_reference(spec, scorers, cadence)
+    trajectory = simulate(spec, scorers, cadence)
+    assert [(snap.event_index, dict(snap.rankings)) for snap in trajectory.snapshots] == snapshots
+    final = trajectory.final_state
+    # tallies, creation order, cached maxima and event count
+    assert final.snapshot() == state.snapshot()
+    assert final.recompute_maxima() == (final.raw_n_max, final.raw_u_max, final.raw_d_max)
+
+
+def test_generate_events_across_default_draw_blocks():
+    block = importlib.import_module("spotrank.simulate")._DRAW_BLOCK
+    spec = spec_of(("a", 0.3, 1.0), ("b", 0.6, 2.0), ("c", 0.9, 0.5),
+                   total_events=2 * block + 3, seed=77)
+    assert generate_events(spec) == generate_events_linear(spec)
+
+
 # --- kendall tau -------------------------------------------------------------------
 
 
