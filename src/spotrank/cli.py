@@ -6,8 +6,12 @@ errors to stderr, never mixed; output is deterministic for identical inputs.
 Human-facing numbers carry 6 fractional digits, machine-facing JSONL/CSV 12
 significant digits.
 
-A flat JSON config file (``--config``) may pre-set any flag; keys equal the
-flag names without the leading dashes, and explicit flags win.
+Each flag is declared once, in a table that maps it to its converter, its
+default and its help.  A flat JSON config file (``--config``) may pre-set any
+flag but ``--up``/``--down``; keys equal the flag names without the leading
+dashes, and explicit flags win.  A flag's value and a config value go through
+the same converter, so they pass the same checks and fail with the same
+message.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TextIO
 
 from .grids import (
     AverageRatingScorer,
@@ -36,6 +40,7 @@ from .grids import (
 )
 from .scoring import (
     Bound,
+    _TRANSFORM_NAMES,
     ConfigError,
     ScoringConfig,
     SiKind,
@@ -63,29 +68,22 @@ class CliError(Exception):
 _KINDS = {kind.value: kind for kind in SiKind}
 _BOUNDS = {bound.value: bound for bound in Bound}
 _VARIANTS = {variant.value: variant for variant in WholeSiVariant}
-_TRANSFORMS = ("linear", "log", "exp", "poly")
-
-# ConfigError names dataclass fields; users see flag spellings
-_FIELD_TO_FLAG = {
-    "p_weight": "p-weight",
-    "z": "z",
-    "si_transform.exponent": "poly-a",
-    "n_max_floor": "n-max-floor",
+_TRANSFORM_BY_NAME = {name: name for name in _TRANSFORM_NAMES}
+_SCORERS: dict[str, Callable[[ScoringConfig], Any]] = {
+    "improved": ImprovedScorer,
+    "wilson": lambda config: WilsonScorer(config.z, config.bound),
+    "average": lambda config: AverageRatingScorer(),
 }
-
-_CONFIG_FILE_KEYS = {
-    "z", "p-weight", "kind", "transform", "poly-a", "bound", "n-max-floor",
-    "whole-variant", "step", "seed", "u-range", "d-range", "n-max", "u-max",
-    "d-max", "scorer", "z-values", "p-values", "kinds", "transforms",
-    "events", "cadence", "out", "out-dir", "trajectory-out", "report-out",
-}
-
 
 # JSON integers and integer flags beyond the signed 64-bit range are
 # rejected: vote counts that large overflow float64 in the scoring arithmetic
 # (10**320 cannot be converted at all), and every real count, delta,
 # timestamp, grid size and seed fits (seeds are taken modulo 2**64)
 _INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
+
+# each character str.splitlines() breaks at, as its escape: a message that
+# quotes a path or an argument stays one line
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 # json.dumps spells the non-finite floats this way
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -99,42 +97,6 @@ def _json12(x: float) -> str:
     """``json.dumps(_round12(x))``, without building a JSON encoder."""
     text = repr(_round12(x))
     return _JSON_NONFINITE.get(text, text)
-
-
-class Options:
-    """Flag value resolution: explicit flag, then config file, then default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values: dict[str, Any] = {}
-        if getattr(args, "config", None):
-            self.file_values = _load_config_file(args.config)
-
-    def get(self, flag: str, default: Any = None) -> Any:
-        value = getattr(self.args, flag.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if flag in self.file_values:
-            return self.file_values[flag]
-        return default
-
-
-def _load_config_file(path: str) -> dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
-    # bad syntax, an integer too long to convert, bytes that are not UTF-8,
-    # or nesting too deep
-    except (ValueError, RecursionError) as exc:
-        raise CliError(f"config file {path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise CliError(f"config file {path}: expected a flat JSON object")
-    unknown = sorted(set(data) - _CONFIG_FILE_KEYS)
-    if unknown:
-        raise CliError(f"config file {path}: unknown keys {', '.join(unknown)}")
-    return data
 
 
 def _to_float(flag: str, value: Any) -> float:
@@ -163,60 +125,161 @@ def _to_int(flag: str, value: Any) -> int:
     return result
 
 
-def _to_choice(flag: str, value: Any, table: dict[str, Any]) -> Any:
-    if value not in table:
-        raise CliError(f"{flag}: expected one of {', '.join(table)}, got {value!r}")
-    return table[value]
+def _to_path(flag: str, value: Any) -> str:
+    # a path the OS cannot take (a NUL, a lone surrogate) fails here, not as
+    # a ValueError halfway through writing the outputs
+    try:
+        if b"\0" not in os.fsencode(value):
+            return value
+    except (TypeError, UnicodeEncodeError):
+        pass
+    raise CliError(f"{flag}: expected a path, got {value!r}")
 
 
-def _to_float_list(flag: str, value: Any) -> tuple[float, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        raise CliError(f"{flag}: expected a comma-separated list, got {value!r}")
-    if not parts:
-        raise CliError(f"{flag}: list must be non-empty")
-    return tuple(_to_float(flag, p) for p in parts)
+def _many(convert: Callable[[str, Any], Any]) -> Callable[[str, Any], tuple]:
+    """Converter of a comma-separated string, or a JSON list, item by item."""
+
+    def convert_items(flag: str, value: Any) -> tuple:
+        if isinstance(value, str):
+            value = [item.strip() for item in value.split(",") if item.strip()]
+        elif not isinstance(value, list):
+            raise CliError(f"{flag}: expected a comma-separated list, got {value!r}")
+        if not value:
+            raise CliError(f"{flag}: list must be non-empty")
+        return tuple(convert(flag, item) for item in value)
+
+    return convert_items
 
 
-def _to_name_list(flag: str, value: Any) -> tuple[str, ...]:
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = [str(p) for p in value]
-    else:
-        raise CliError(f"{flag}: expected a comma-separated list, got {value!r}")
-    if not parts:
-        raise CliError(f"{flag}: list must be non-empty")
-    return tuple(parts)
+class _Choice:
+    """Converter to the entry of ``table`` that a value names."""
+
+    def __init__(self, table: Mapping[str, Any]):
+        self.table = table
+
+    def __call__(self, flag: str, value: Any) -> Any:
+        if isinstance(value, str) and value in self.table:
+            return self.table[value]
+        raise CliError(f"{flag}: expected one of {', '.join(self.table)}, got {value!r}")
+
+
+class _Flag(NamedTuple):
+    """One flag: its converter, its default as it would be typed (None: the
+    command works it out, as the help says) and its help."""
+
+    convert: Callable[[str, Any], Any]
+    default: str | None
+    help: str
+    required: bool = False  # given on the command line only, never in a config file
+
+
+_SCORING_FLAGS = {
+    "z": _Flag(_to_float, "2", "normal quantile"),
+    "p-weight": _Flag(_to_float, "0.5", "weight of the Wilson term, in [0, 1]"),
+    "kind": _Flag(_Choice(_KINDS), "whole", "spotlight index kind"),
+    "transform": _Flag(_Choice(_TRANSFORM_BY_NAME), "linear", "index transform"),
+    "poly-a": _Flag(_to_float, "2", "exponent for --transform poly"),
+    "bound": _Flag(_Choice(_BOUNDS), "lower", "which interval bound to blend"),
+    "n-max-floor": _Flag(_to_int, "1", "minimum substituted for small maxima"),
+    "whole-variant": _Flag(_Choice(_VARIANTS), "plain",
+                           "denominator convention for the linear whole index"),
+}
+
+# a lone tally is its own question: maxima default to its own counts
+_SCORE_FLAGS = {
+    "up": _Flag(_to_int, None, "up-votes of the tally", required=True),
+    "down": _Flag(_to_int, None, "down-votes of the tally", required=True),
+    "n-max": _Flag(_to_int, None, "raw question n_max (default: the tally's own total)"),
+    "u-max": _Flag(_to_int, None, "raw question u_max (default: the tally's up-votes)"),
+    "d-max": _Flag(_to_int, None, "raw question d_max (default: the tally's down-votes)"),
+}
+
+_GRID_FLAGS = {
+    "u-range": _Flag(_to_int, "1000", "inclusive top of the u axis"),
+    "d-range": _Flag(_to_int, "1000", "inclusive top of the d axis"),
+    "step": _Flag(_to_int, "1", "cell spacing"),
+    "n-max": _Flag(_to_int, "2000", "fixed n_max for the grid"),
+    "u-max": _Flag(_to_int, None, "fixed u_max (default: n-max)"),
+    "d-max": _Flag(_to_int, None, "fixed d_max (default: n-max)"),
+    "scorer": _Flag(_Choice(_SCORERS), "improved", "scoring rule for cells"),
+}
+
+_GRID_OUT_FLAGS = {
+    # null in a config file means stdout, as when --out is not given
+    "out": _Flag(lambda flag, value: value if value is None else _to_path(flag, value), None,
+                 "output CSV path (default: stdout)"),
+}
+
+_SWEEP_FLAGS = {
+    "z-values": _Flag(_many(_to_float), "0,1,5,25", "comma-separated z list"),
+    "p-values": _Flag(_many(_to_float), "0,0.25,0.5,0.75,1", "comma-separated P list"),
+    "kinds": _Flag(_many(_Choice(_KINDS)), "whole", "comma-separated kinds"),
+    "transforms": _Flag(_many(_Choice(_TRANSFORM_BY_NAME)), "linear", "comma-separated transforms"),
+    "out-dir": _Flag(_to_path, "grids", "output directory"),
+}
+
+_SIMULATE_FLAGS = {
+    "events": _Flag(_to_int, "1000", "number of single-vote events"),
+    "seed": _Flag(_to_int, "0", "stream seed"),
+    "cadence": _Flag(_to_int, "100", "events between ranking snapshots"),
+    "trajectory-out": _Flag(_to_path, "trajectory.jsonl", "snapshot JSONL path"),
+    "report-out": _Flag(_to_path, "report.json", "stability report JSON path"),
+}
+
+
+def _load_config_file(path: str) -> dict[str, Any]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read config file: {exc}") from exc
+    # bad syntax, an integer too long to convert, bytes that are not UTF-8,
+    # or nesting too deep
+    except (ValueError, RecursionError) as exc:
+        raise CliError(f"config file {path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise CliError(f"config file {path}: expected a flat JSON object")
+    # one set for every subcommand, so one file can serve several
+    known = {name for _, _, groups, _ in _COMMANDS.values()
+             for group in groups for name, flag in group.items() if not flag.required}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise CliError(f"config file {path}: unknown keys {', '.join(unknown)}")
+    return data
+
+
+def _flag_values(args: argparse.Namespace) -> dict[str, Any]:
+    """Each flag of the subcommand, converted: as given, else from the config
+    file, else its default, where None means the command works it out."""
+    file_values = _load_config_file(_to_path("config", args.config)) if args.config else {}
+    values: dict[str, Any] = {}
+    for name, flag in args.flags.items():
+        value = getattr(args, name.replace("-", "_"))
+        if value is None:
+            value = file_values.get(name, flag.default)
+        absent = value is None and name not in file_values
+        values[name] = None if absent else flag.convert(name, value)
+    return values
 
 
 def _transform_from(name: str, poly_a: float) -> SiTransform:
-    if name not in _TRANSFORMS:
-        raise CliError(f"transform: expected one of {', '.join(_TRANSFORMS)}, got {name!r}")
-    if name == "poly":
-        return SiTransform("poly", poly_a)
-    return SiTransform(name)
+    return SiTransform(name, poly_a) if name == "poly" else SiTransform(name)
 
 
-def resolve_scoring_config(opts: Options) -> ScoringConfig:
-    transform_name = opts.get("transform", "linear")
-    poly_a = _to_float("poly-a", opts.get("poly-a", 2.0))
+def resolve_scoring_config(opts: dict[str, Any]) -> ScoringConfig:
     config = ScoringConfig(
-        z=_to_float("z", opts.get("z", 2.0)),
-        p_weight=_to_float("p-weight", opts.get("p-weight", 0.5)),
-        si_kind=_to_choice("kind", opts.get("kind", "whole"), _KINDS),
-        si_transform=_transform_from(transform_name, poly_a),
-        bound=_to_choice("bound", opts.get("bound", "lower"), _BOUNDS),
-        n_max_floor=_to_int("n-max-floor", opts.get("n-max-floor", 1)),
-        whole_variant=_to_choice("whole-variant", opts.get("whole-variant", "plain"), _VARIANTS),
+        z=opts["z"],
+        p_weight=opts["p-weight"],
+        si_kind=opts["kind"],
+        si_transform=_transform_from(opts["transform"], opts["poly-a"]),
+        bound=opts["bound"],
+        n_max_floor=opts["n-max-floor"],
+        whole_variant=opts["whole-variant"],
     )
     try:
         return validate_config(config)
-    except ConfigError as exc:
-        flag = _FIELD_TO_FLAG.get(exc.field, exc.field)
+    except ConfigError as exc:  # it names a field; users see flag spellings
+        flag = "poly-a" if exc.field == "si_transform.exponent" else exc.field.replace("_", "-")
         raise CliError(f"{flag}: {str(exc).split(': ', 1)[1]}") from exc
 
 
@@ -231,7 +294,7 @@ def _open_input(path: str) -> TextIO:
         return io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
     try:
         return open(path, "r", encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -327,18 +390,19 @@ def _require_number(line_no: int, obj: dict, key: str, default: Any = None) -> f
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    opts = Options(args)
+    opts = _flag_values(args)
     config = resolve_scoring_config(opts)
-    up, down = _to_int("up", args.up), _to_int("down", args.down)
+    up, down = opts["up"], opts["down"]
     if up < 0 or down < 0:
         raise CliError("up/down: vote counts must be non-negative")
     tally = VoteTally(up, down)
-    # a lone tally is its own question: maxima default to its own counts
-    raw_n = _to_int("n-max", opts.get("n-max", tally.n))
-    raw_u = _to_int("u-max", opts.get("u-max", tally.up))
-    raw_d = _to_int("d-max", opts.get("d-max", tally.down))
-    maxima = effective_maxima(raw_n, raw_u, raw_d, config.n_max_floor)
-    breakdown = combined_score(tally, maxima, config)
+    own = {"n-max": tally.n, "u-max": tally.up, "d-max": tally.down}
+    raw = [own[flag] if opts[flag] is None else opts[flag] for flag in own]
+    maxima = effective_maxima(*raw, config.n_max_floor)
+    try:
+        breakdown = combined_score(tally, maxima, config)
+    except OverflowError as exc:  # exp or poly of a count far above a maximum given
+        raise CliError("si: out of range for a tally so far above its maxima") from exc
     print(f"wilson_lower {breakdown.wilson.lower:.6f}")
     print(f"wilson_upper {breakdown.wilson.upper:.6f}")
     print(f"si {breakdown.si:.6f}")
@@ -391,8 +455,7 @@ def _emit_ranking(entries: Sequence[AnswerEntry], config: ScoringConfig, out: Te
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    config = resolve_scoring_config(opts)
+    config = resolve_scoring_config(_flag_values(args))
     with _reading(args.tallies) as fh:
         entries = _read_tallies(fh)
     if entries:
@@ -477,8 +540,7 @@ def _replay_line(line_no: int, line: str, states: dict[str, QuestionState],
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    config = resolve_scoring_config(opts)
+    config = resolve_scoring_config(_flag_values(args))
     with _reading(args.events) as fh:
         states = _replay_events(fh)
     # written only after the last line, so a bad line leaves stdout empty
@@ -519,31 +581,15 @@ def _staged_outputs() -> Iterator[Callable[[str | Path], Path]]:
 # --- grid / sweep -----------------------------------------------------------
 
 
-def _resolve_grid_geometry(opts: Options) -> tuple[int, int, int, int, int, int]:
-    u_range = _to_int("u-range", opts.get("u-range", 1000))
-    d_range = _to_int("d-range", opts.get("d-range", 1000))
-    step = _to_int("step", opts.get("step", 1))
-    n_max = _to_int("n-max", opts.get("n-max", 2000))
-    u_max = _to_int("u-max", opts.get("u-max", n_max))
-    d_max = _to_int("d-max", opts.get("d-max", n_max))
-    return u_range, d_range, step, n_max, u_max, d_max
-
-
-def _build_grid_spec(opts: Options) -> GridSpec:
-    u_range, d_range, step, n_max, u_max, d_max = _resolve_grid_geometry(opts)
+def _build_grid_spec(opts: dict[str, Any]) -> GridSpec:
     config = resolve_scoring_config(opts)
-    scorer_name = opts.get("scorer", "improved")
-    if scorer_name == "improved":
-        scorer = ImprovedScorer(config)
-    elif scorer_name == "wilson":
-        scorer = WilsonScorer(config.z, config.bound)
-    elif scorer_name == "average":
-        scorer = AverageRatingScorer()
-    else:
-        raise CliError(f"scorer: expected one of improved, wilson, average, got {scorer_name!r}")
+    n_max = opts["n-max"]
+    u_max = n_max if opts["u-max"] is None else opts["u-max"]
+    d_max = n_max if opts["d-max"] is None else opts["d-max"]
     try:
         maxima = effective_maxima(n_max, u_max, d_max)
-        return GridSpec(u_range, d_range, maxima, scorer, step)
+        return GridSpec(opts["u-range"], opts["d-range"], maxima, opts["scorer"](config),
+                        opts["step"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -555,7 +601,7 @@ def _too_large(spec: GridSpec) -> CliError:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    opts = Options(args)
+    opts = _flag_values(args)
     spec = _build_grid_spec(opts)
     try:
         grid = grid_scores(spec)
@@ -563,7 +609,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     except MemoryError as exc:
         raise _too_large(spec) from exc
-    out = opts.get("out")
+    out = opts["out"]
     if out is None:
         emit_csv(grid, sys.stdout)
         return 0
@@ -576,28 +622,22 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = Options(args)
+    opts = _flag_values(args)
     base = _build_grid_spec(opts)
     if not isinstance(base.scorer, ImprovedScorer):
         raise CliError("sweep requires --scorer improved")
-    poly_a = _to_float("poly-a", opts.get("poly-a", 2.0))
     try:
         spec = SweepSpec(
             base=base,
-            z_values=_to_float_list("z-values", opts.get("z-values", "0,1,5,25")),
-            p_values=_to_float_list("p-values", opts.get("p-values", "0,0.25,0.5,0.75,1")),
-            kinds=tuple(
-                _to_choice("kinds", k, _KINDS) for k in _to_name_list("kinds", opts.get("kinds", "whole"))
-            ),
-            transforms=tuple(
-                _transform_from(t, poly_a)
-                for t in _to_name_list("transforms", opts.get("transforms", "linear"))
-            ),
+            z_values=opts["z-values"],
+            p_values=opts["p-values"],
+            kinds=opts["kinds"],
+            transforms=tuple(_transform_from(name, opts["poly-a"]) for name in opts["transforms"]),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    out_dir = Path(opts.get("out-dir", "grids"))
+    out_dir = Path(opts["out-dir"])
     paths: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -641,25 +681,18 @@ def _read_profiles(path: str) -> tuple[AnswerProfile, ...]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = Options(args)
+    opts = _flag_values(args)
     config = resolve_scoring_config(opts)
     profiles = _read_profiles(args.profiles)
     try:
-        spec = StreamSpec(
-            profiles=profiles,
-            total_events=_to_int("events", opts.get("events", 1000)),
-            seed=_to_int("seed", opts.get("seed", 0)),
-        )
+        spec = StreamSpec(profiles=profiles, total_events=opts["events"], seed=opts["seed"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    cadence = _to_int("cadence", opts.get("cadence", 100))
+    cadence = opts["cadence"]
     if cadence < 1:
         raise CliError("cadence: must be positive")
 
-    scorers = {
-        "wilson": replace(config, p_weight=1.0),
-        "improved": config,
-    }
+    scorers = {"wilson": replace(config, p_weight=1.0), "improved": config}
     trajectory = simulate(spec, scorers, cadence)
     report = stability_report(trajectory) if len(trajectory.snapshots) >= 2 else None
 
@@ -676,8 +709,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 {"scorers": [label_a, label_b], "final_tau": _round12(tau)}
             )
 
-    trajectory_path = opts.get("trajectory-out", "trajectory.jsonl")
-    report_path = opts.get("report-out", "report.json")
+    trajectory_path, report_path = opts["trajectory-out"], opts["report-out"]
     try:
         with _staged_outputs() as stage:
             with open(stage(trajectory_path), "w", encoding="utf-8", newline="\n") as fh:
@@ -702,107 +734,68 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--z", type=float, default=None, help="normal quantile (default 2)")
-    sub.add_argument("--p-weight", type=float, default=None,
-                     help="weight of the Wilson term, in [0, 1] (default 0.5)")
-    sub.add_argument("--kind", choices=sorted(_KINDS), default=None,
-                     help="spotlight index kind (default whole)")
-    sub.add_argument("--transform", choices=_TRANSFORMS, default=None,
-                     help="index transform (default linear)")
-    sub.add_argument("--poly-a", type=float, default=None,
-                     help="exponent for --transform poly (default 2)")
-    sub.add_argument("--bound", choices=sorted(_BOUNDS), default=None,
-                     help="which interval bound to blend (default lower)")
-    sub.add_argument("--n-max-floor", type=int, default=None,
-                     help="minimum substituted for small maxima (default 1)")
-    sub.add_argument("--whole-variant", choices=sorted(_VARIANTS), default=None,
-                     help="denominator convention for the linear whole index (default plain)")
-    sub.add_argument("--config", default=None, help="flat JSON config file; flags win")
+# each subcommand: its summary, its positional argument (name, help) if any,
+# its flag groups in --help order, and its handler
+_COMMANDS = {
+    "score": ("score one up/down tally", None, (_SCORE_FLAGS, _SCORING_FLAGS), cmd_score),
+    "rank": ("rank a JSONL tally file",
+             ("tallies", "JSONL file of {answer_id, up, down}; - for stdin"),
+             (_SCORING_FLAGS,), cmd_rank),
+    "replay": ("replay a JSONL vote-event log",
+               ("events", "ts-sorted JSONL of {question_id, answer_id, up_delta, down_delta, ts};"
+                " - for stdin"),
+               (_SCORING_FLAGS,), cmd_replay),
+    "grid": ("emit one score grid as CSV", None,
+             (_GRID_FLAGS, _GRID_OUT_FLAGS, _SCORING_FLAGS), cmd_grid),
+    "sweep": ("emit one CSV per parameter tuple", None,
+              (_GRID_FLAGS, _SWEEP_FLAGS, _SCORING_FLAGS), cmd_sweep),
+    "simulate": ("run a seeded vote-stream simulation",
+                 ("profiles", "JSONL file of {answer_id, up_probability, arrival_weight}; - for stdin"),
+                 (_SIMULATE_FLAGS, _SCORING_FLAGS), cmd_simulate),
+}
 
 
-def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--u-range", type=int, default=None, help="inclusive top of the u axis (default 1000)")
-    sub.add_argument("--d-range", type=int, default=None, help="inclusive top of the d axis (default 1000)")
-    sub.add_argument("--step", type=int, default=None, help="cell spacing (default 1)")
-    sub.add_argument("--n-max", type=int, default=None, help="fixed n_max for the grid (default 2000)")
-    sub.add_argument("--u-max", type=int, default=None, help="fixed u_max (default: n-max)")
-    sub.add_argument("--d-max", type=int, default=None, help="fixed d_max (default: n-max)")
-    sub.add_argument("--scorer", choices=("average", "improved", "wilson"), default=None,
-                     help="scoring rule for cells (default improved)")
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a :class:`CliError`: one ``error:`` line, as for any bad input."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Flags that only collect strings; :func:`_flag_values` converts them."""
+    parser = _Parser(
         prog="spotrank",
         description="Score and rank vote-based content with Wilson-interval/spotlight-index blends.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_score = commands.add_parser("score", help="score one up/down tally")
-    p_score.add_argument("--up", type=int, required=True)
-    p_score.add_argument("--down", type=int, required=True)
-    p_score.add_argument("--n-max", type=int, default=None,
-                         help="raw question n_max (default: the tally's own total)")
-    p_score.add_argument("--u-max", type=int, default=None)
-    p_score.add_argument("--d-max", type=int, default=None)
-    _add_scoring_flags(p_score)
-    p_score.set_defaults(func=cmd_score)
-
-    p_rank = commands.add_parser("rank", help="rank a JSONL tally file")
-    p_rank.add_argument("tallies", help="JSONL file of {answer_id, up, down}; - for stdin")
-    _add_scoring_flags(p_rank)
-    p_rank.set_defaults(func=cmd_rank)
-
-    p_replay = commands.add_parser("replay", help="replay a JSONL vote-event log")
-    p_replay.add_argument("events",
-                          help="ts-sorted JSONL of {question_id, answer_id, up_delta, down_delta, ts}; - for stdin")
-    _add_scoring_flags(p_replay)
-    p_replay.set_defaults(func=cmd_replay)
-
-    p_grid = commands.add_parser("grid", help="emit one score grid as CSV")
-    _add_grid_flags(p_grid)
-    p_grid.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    _add_scoring_flags(p_grid)
-    p_grid.set_defaults(func=cmd_grid)
-
-    p_sweep = commands.add_parser("sweep", help="emit one CSV per parameter tuple")
-    _add_grid_flags(p_sweep)
-    p_sweep.add_argument("--z-values", default=None, help="comma-separated z list (default 0,1,5,25)")
-    p_sweep.add_argument("--p-values", default=None,
-                         help="comma-separated P list (default 0,0.25,0.5,0.75,1)")
-    p_sweep.add_argument("--kinds", default=None, help="comma-separated kinds (default whole)")
-    p_sweep.add_argument("--transforms", default=None, help="comma-separated transforms (default linear)")
-    p_sweep.add_argument("--out-dir", default=None, help="output directory (default grids)")
-    _add_scoring_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_sim = commands.add_parser("simulate", help="run a seeded vote-stream simulation")
-    p_sim.add_argument("profiles",
-                       help="JSONL file of {answer_id, up_probability, arrival_weight}; - for stdin")
-    p_sim.add_argument("--events", type=int, default=None, help="number of single-vote events (default 1000)")
-    p_sim.add_argument("--seed", type=int, default=None, help="stream seed (default 0)")
-    p_sim.add_argument("--cadence", type=int, default=None, help="events between ranking snapshots (default 100)")
-    p_sim.add_argument("--trajectory-out", default=None, help="snapshot JSONL path (default trajectory.jsonl)")
-    p_sim.add_argument("--report-out", default=None, help="stability report JSON path (default report.json)")
-    _add_scoring_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
+    for command, (summary, positional, groups, handler) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=summary)
+        if positional is not None:
+            sub.add_argument(positional[0], help=positional[1])
+        flags = {name: flag for group in groups for name, flag in group.items()}
+        for name, flag in flags.items():
+            choices = flag.convert.table if isinstance(flag.convert, _Choice) else None
+            sub.add_argument(
+                f"--{name}", required=flag.required,
+                metavar=None if choices is None else "{" + ",".join(choices) + "}",
+                help=flag.help if flag.default is None else f"{flag.help} (default {flag.default})",
+            )
+        sub.add_argument("--config", help="flat JSON config file; flags win")
+        sub.set_defaults(func=handler, flags=flags)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         rc = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return rc
+    except SystemExit as exc:  # --help exits 0; usage errors raise CliError
+        return int(exc.code or 0)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader of stdout went away; point stdout at devnull so the

@@ -167,11 +167,11 @@ def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> 
 def _si_grid(rows: int, cols: int, step: int, maxima: Maxima, config: ScoringConfig) -> np.ndarray:
     # every count is a multiple of step, so the scalar kernel runs once per
     # distinct multiple and the cells gather from that table
-    kind, transform = config.si_kind, config.si_transform
-    index, top, negate = _si_parts(
-        np.arange(rows)[:, None], np.arange(cols)[None, :], maxima, kind, transform
+    transform = config.si_transform
+    index, top, negate, variant = _si_parts(
+        np.arange(rows)[:, None], np.arange(cols)[None, :], maxima, config.si_kind, transform,
+        config.whole_variant,
     )
-    variant = config.whole_variant if kind is SiKind.WHOLE else WholeSiVariant.PLAIN
     lo, hi = int(index.min()), int(index.max())
     table = np.array([_si_of_count(k * step, top, transform, variant) for k in range(lo, hi + 1)])
     si = table[index - lo]
@@ -241,8 +241,9 @@ def sweep(spec: SweepSpec) -> Iterator[tuple[SweepPoint, ScoreGrid]]:
                     )
                     try:
                         yield point, grid_scores(replace(base, scorer=ImprovedScorer(config)))
-                    except ValueError as exc:
-                        raise type(exc)(f"sweep point {point.slug()}: {exc}") from exc
+                    except ValueError as exc:  # kept as raised, so a ConfigError keeps its field
+                        exc.args = (f"sweep point {point.slug()}: {exc}",)
+                        raise
 
 
 def emit_csv(grid: ScoreGrid, destination: Union[str, Path, TextIO]) -> None:

@@ -220,33 +220,34 @@ def effective_maxima(raw_n_max: int, raw_u_max: int, raw_d_max: int, floor: int 
     return Maxima(max(raw_n_max, floor), max(raw_u_max, floor), max(raw_d_max, floor))
 
 
-def _si_parts(u, d, maxima: Maxima, kind: SiKind, transform: SiTransform):
-    """``(count, top, negate)``: the index is ``-f(count, top)`` if negate.
+def _si_parts(u, d, maxima: Maxima, kind: SiKind, transform: SiTransform,
+              whole_variant: WholeSiVariant):
+    """``(count, top, negate, variant)``: the index is ``-f(count, top)`` if
+    negate, under ``variant``, the whole variant for WHOLE and PLAIN otherwise.
 
     Only ``+``, ``-``, ``abs`` and ``<``, so it runs on ints and on integer
     numpy arrays alike.  Net under exp keeps the signed difference; under the
     other transforms it is sgn(u-d) * f(|u-d|).
     """
     if kind is SiKind.WHOLE:
-        return u + d, maxima.n_max, False
+        return u + d, maxima.n_max, False, whole_variant
+    plain = WholeSiVariant.PLAIN
     if kind is SiKind.NET:
         if transform.name == "exp":
-            return u - d, maxima.n_max, False
-        return abs(u - d), maxima.n_max, u < d
+            return u - d, maxima.n_max, False, plain
+        return abs(u - d), maxima.n_max, u < d, plain
     if kind is SiKind.POSITIVE:
-        return u, maxima.n_max, False
+        return u, maxima.n_max, False, plain
     if kind is SiKind.NEGATIVE:
-        return d, maxima.n_max, True
+        return d, maxima.n_max, True, plain
     if kind is SiKind.UPVOTE:
-        return u, maxima.u_max, False
-    return d, maxima.d_max, True
+        return u, maxima.u_max, False, plain
+    return d, maxima.d_max, True, plain
 
 
 def _si_of_count(count: int, top: int, transform: SiTransform, whole_variant: WholeSiVariant) -> float:
-    """The transformed ratio of one integer count to its maximum.
-
-    ``whole_variant`` must be PLAIN for every kind but WHOLE.
-    """
+    """The transformed ratio of one integer count to its maximum, under the
+    whole variant that :func:`_si_parts` picked."""
     name = transform.name
     if name == "linear":
         if whole_variant is WholeSiVariant.PLAIN:
@@ -279,10 +280,9 @@ def spotlight_index(
     evaluated as exp(count - max) with the subtraction done first; never as a
     quotient of two huge exponentials.
     """
-    count, top, negate = _si_parts(tally.up, tally.down, maxima, kind, transform)
-    if whole_variant is not WholeSiVariant.PLAIN and kind is not SiKind.WHOLE:
-        whole_variant = WholeSiVariant.PLAIN
-    si = _si_of_count(count, top, transform, whole_variant)
+    count, top, negate, variant = _si_parts(tally.up, tally.down, maxima, kind, transform,
+                                            whole_variant)
+    si = _si_of_count(count, top, transform, variant)
     return -si if negate else si
 
 

@@ -23,6 +23,7 @@ needed) plus cross-scorer agreement on the final ranking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
@@ -90,8 +91,9 @@ class AnswerProfile:
     def __post_init__(self):
         if not 0.0 <= self.up_probability <= 1.0:
             raise ValueError(f"up_probability must be in [0, 1], got {self.up_probability}")
-        if not self.arrival_weight > 0.0:
-            raise ValueError(f"arrival_weight must be positive, got {self.arrival_weight}")
+        # from an infinite weight on, every running sum is infinite: no pick lands on it
+        if not (self.arrival_weight > 0.0 and math.isfinite(self.arrival_weight)):
+            raise ValueError(f"arrival_weight must be positive and finite, got {self.arrival_weight}")
 
 
 @dataclass(frozen=True)

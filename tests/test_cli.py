@@ -1162,6 +1162,211 @@ def test_simulate_profile_numbers_beyond_float_range_are_out_of_range(tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["profiles.jsonl"]
 
 
+# --- flags and config values -------------------------------------------------------
+
+# every key a config file may set: the flags of every subcommand but --up/--down
+CONFIG_KEYS = [
+    "z", "p-weight", "kind", "transform", "poly-a", "bound", "n-max-floor", "whole-variant",
+    "u-range", "d-range", "step", "n-max", "u-max", "d-max", "scorer", "out",
+    "z-values", "p-values", "kinds", "transforms", "out-dir",
+    "events", "seed", "cadence", "trajectory-out", "report-out",
+]
+PATH_FLAGS = {"out", "out-dir", "trajectory-out", "report-out"}
+
+
+def _flags_of(command):
+    return {name: flag for group in cli._COMMANDS[command][2] for name, flag in group.items()}
+
+
+def _small_run(tmp_path, command):
+    """The positional arguments of ``command`` and flags that keep its run
+    small, with every output under ``tmp_path``."""
+    write_jsonl(tmp_path / "tallies.jsonl", TRIO)
+    write_jsonl(tmp_path / "events.jsonl", [
+        {"question_id": "q", "answer_id": "a", "up_delta": 1, "down_delta": 0, "ts": 1},
+        {"question_id": "q", "answer_id": "b", "up_delta": 0, "down_delta": 1, "ts": 2},
+    ])
+    write_jsonl(tmp_path / "profiles.jsonl", PROFILES)
+    axes = {"u-range": "2", "d-range": "2", "n-max": "10"}
+    return {
+        "score": ([], {"up": "3", "down": "1"}),
+        "rank": ([str(tmp_path / "tallies.jsonl")], {}),
+        "replay": ([str(tmp_path / "events.jsonl")], {}),
+        "grid": ([], {**axes, "out": str(tmp_path / "g.csv")}),
+        "sweep": ([], {**axes, "z-values": "2", "p-values": "0.5",
+                       "out-dir": str(tmp_path / "grids")}),
+        "simulate": ([str(tmp_path / "profiles.jsonl")],
+                     {"events": "6", "cadence": "2", "trajectory-out": str(tmp_path / "t.jsonl"),
+                      "report-out": str(tmp_path / "r.json")}),
+    }[command]
+
+
+def _argv_without(tmp_path, command, flag):
+    positional, flags = _small_run(tmp_path, command)
+    return [command, *positional,
+            *(arg for name, value in flags.items() if name != flag for arg in (f"--{name}", value))]
+
+
+_PARITY_CASES = [
+    (command, name, "a\0b" if name in PATH_FLAGS else "x")
+    for command in cli._COMMANDS for name, flag in _flags_of(command).items() if not flag.required
+] + [
+    # values every converter takes that a later check rejects
+    ("score", "p-weight", "1.5"), ("rank", "n-max-floor", "0"), ("grid", "step", "1e3"),
+    ("grid", "step", "0"), ("grid", "u-range", str(2**63)), ("sweep", "kinds", "whole,bogus"),
+    ("sweep", "z-values", ",,"), ("sweep", "p-values", "0.5,2"), ("simulate", "cadence", "0"),
+    ("simulate", "events", "-1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", _PARITY_CASES,
+                         ids=[f"{c}-{f}-{v!r}" for c, f, v in _PARITY_CASES])
+def test_bad_flag_and_config_value_give_the_same_error_line(tmp_path, capsys, command, flag, value):
+    argv = _argv_without(tmp_path, command, flag)
+    rc_flag, out_flag, err_flag = run(capsys, *argv, f"--{flag}", value)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({flag: value}), encoding="utf-8")
+    rc_file, out_file, err_file = run(capsys, *argv, "--config", str(config))
+    assert (rc_flag, out_flag) == (rc_file, out_file) == (2, "")
+    assert err_flag == err_file
+    assert err_flag.startswith("error: ") and err_flag.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [None, True, 1.5, [], {}, 7],
+                         ids=["null", "true", "1.5", "list", "object", "7"])
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_config_values_of_any_json_type_exit_0_or_2_with_one_error_line(tmp_path, capsys,
+                                                                       key, value):
+    command = next(command for command in cli._COMMANDS if key in _flags_of(command))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    rc, out, err = run(capsys, *_argv_without(tmp_path, command, key), "--config", str(config))
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unknown keys" not in err
+
+
+@pytest.mark.parametrize("key", ["up", "down", "config"])
+def test_config_file_cannot_set_up_down_or_config(tmp_path, capsys, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: 1}), encoding="utf-8")
+    rc, out, err = run(capsys, "score", "--up", "1", "--down", "0", "--config", str(config))
+    assert (rc, out) == (2, "")
+    assert err == f"error: config file {config}: unknown keys {key}\n"
+
+
+SMALL_GRID = ["--u-range", "2", "--d-range", "2", "--n-max", "10"]
+
+
+def test_grid_config_out_null_means_stdout(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"out": null}', encoding="utf-8")
+    rc, out, err = run(capsys, "grid", *SMALL_GRID, "--config", str(config))
+    assert (rc, err) == (0, "")
+    assert out == run(capsys, "grid", *SMALL_GRID)[1]
+    assert out.startswith("# scorer: improved\n") and out.endswith("\n2,2,0.273223304703\n")
+_REPRODUCED = {
+    "grid-out-5": (["grid", *SMALL_GRID], {"out": 5}, "out: expected a path, got 5"),
+    "sweep-out-dir-5": (["sweep", *SMALL_GRID], {"out-dir": 5}, "out-dir: expected a path, got 5"),
+    "sweep-out-dir-null": (["sweep", *SMALL_GRID], {"out-dir": None},
+                           "out-dir: expected a path, got None"),
+    "simulate-trajectory-out-7": (["simulate", "profiles.jsonl", "--events", "6"],
+                                  {"trajectory-out": 7}, "trajectory-out: expected a path, got 7"),
+    "rank-kind-list": (["rank", "tallies.jsonl"], {"kind": ["x"]},
+                       "kind: expected one of whole, net, positive, negative, upvote, downvote, "
+                       "got ['x']"),
+    "rank-bound-list": (["rank", "tallies.jsonl"], {"bound": ["x"]},
+                        "bound: expected one of lower, upper, got ['x']"),
+    "rank-whole-variant-object": (["rank", "tallies.jsonl"], {"whole-variant": {}},
+                                  "whole-variant: expected one of plain, shift-denom, shift-both, "
+                                  "got {}"),
+    "grid-step-1e3": (["grid", *SMALL_GRID, "--step", "1e3"], None,
+                      "step: expected an integer, got '1e3'"),
+    "rank-no-tallies": (["rank"], None, "the following arguments are required: tallies"),
+    "rank-unknown-flag": (["rank", "tallies.jsonl", "--bogus"], None,
+                          "unrecognized arguments: --bogus"),
+    "profile-weight-1e309": (["simulate", "huge.jsonl", "--events", "10"], None,
+                             "line 1: arrival_weight must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REPRODUCED))
+def test_bad_input_exits_2_with_one_error_line_and_no_output(tmp_path, capsys, monkeypatch, case):
+    argv, config, message = _REPRODUCED[case]
+    monkeypatch.chdir(tmp_path)  # default output paths land here too
+    write_jsonl(tmp_path / "tallies.jsonl", TRIO)
+    write_jsonl(tmp_path / "profiles.jsonl", PROFILES)
+    (tmp_path / "huge.jsonl").write_text(
+        '{"answer_id": "huge", "up_probability": 0.5, "arrival_weight": 1e309}\n'
+        '{"answer_id": "light", "up_probability": 0.5, "arrival_weight": 1.0}\n', encoding="utf-8")
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = [*argv, "--config", "run.json"]
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "error: the following arguments are required: command\n"),
+    (["score", "--up", "1"], "error: the following arguments are required: --down\n"),
+    (["score", "--down", "0", "--up"], "error: argument --up: expected one argument\n"),
+    (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
+    (["grid", "--out"], "error: argument --out: expected one argument\n"),
+], ids=["no-subcommand", "missing-down", "up-without-value", "unknown-subcommand",
+        "out-without-value"])
+def test_usage_errors_print_one_error_line(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["rank", "a\0b"], "error: cannot read a\0b: embedded null byte\n"),
+    (["rank", "-", "--config", "a\0b"], "error: config: expected a path, got 'a\\x00b'\n"),
+], ids=["input", "config"])
+def test_paths_the_os_cannot_take_exit_2(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_each_flag_with_its_default_and_choices(capsys, command):
+    rc, out, err = run(capsys, command, "--help")
+    assert (rc, err) == (0, "")
+    text = " ".join(out.split())  # argparse wraps lines at the terminal width
+    for name, flag in {**_flags_of(command), "config": None}.items():
+        assert f"--{name} " in text
+        if flag is not None and flag.default is not None:
+            assert f"(default {flag.default})" in text
+        if flag is not None and isinstance(flag.convert, cli._Choice):
+            assert f"--{name} {{{','.join(flag.convert.table)}}}" in text
+
+
+def test_help_shows_the_defaults_and_choices_of_the_scoring_flags(capsys):
+    rc, out, _ = run(capsys, "rank", "--help")
+    text = " ".join(out.split())
+    assert rc == 0
+    assert "--kind {whole,net,positive,negative,upvote,downvote} spotlight index kind (default whole)" in text
+    assert "--transform {linear,log,exp,poly} index transform (default linear)" in text
+    assert "--z Z normal quantile (default 2)" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["--up", "10000", "--down", "0", "--n-max", "1", "--transform", "exp"],
+    ["--up", "10", "--down", "0", "--n-max", "1", "--transform", "poly", "--poly-a", "1e308"],
+], ids=["exp", "poly"])
+def test_score_beyond_float_range_exits_2(capsys, argv):
+    rc, out, err = run(capsys, "score", *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: si: out of range for a tally so far above its maxima\n"
+
+
 # --- fuzz ------------------------------------------------------------------------
 
 _FUZZ_KEYS = st.sampled_from([
@@ -1214,6 +1419,34 @@ def test_main_on_arbitrary_jsonl_exits_0_or_2_with_one_error_line(tmp_path, comm
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main([command, str(path), *outputs])
+        if rc == 0:
+            assert err.getvalue() == ""
+        else:
+            assert rc == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    check()
+
+
+_FLAG_TEXT = st.text(max_size=8)
+
+
+@pytest.mark.parametrize("command", ["score", "rank"])
+def test_main_on_arbitrary_flag_values_exits_0_or_2_with_one_error_line(tmp_path, command):
+    tallies = tmp_path / "tallies.jsonl"
+    write_jsonl(tallies, TRIO)
+    head = ["score", "--up", "3", "--down", "1"] if command == "score" else ["rank", str(tallies)]
+    names = st.sampled_from(sorted(_flags_of(command))) | _FLAG_TEXT
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(names, _FLAG_TEXT, st.booleans()), max_size=4))
+    def check(pairs):
+        # "--flag=value" also passes values that start with a dash
+        argv = [*head, *(arg for name, value, joined in pairs
+                         for arg in ([f"--{name}={value}"] if joined else [f"--{name}", value]))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
         if rc == 0:
             assert err.getvalue() == ""
         else:

@@ -22,6 +22,7 @@ from spotrank.scoring import (
     LINEAR,
     LOG10,
     Bound,
+    ConfigError,
     Maxima,
     ScoringConfig,
     SiKind,
@@ -424,3 +425,20 @@ def test_sweep_rejects_empty_lists():
             kinds=(SiKind.WHOLE,),
             transforms=(LINEAR,),
         )
+
+
+def test_sweep_point_error_keeps_its_type_and_field():
+    bad = SweepSpec(
+        base=GridSpec(2, 2, Maxima(10, 10, 10), ImprovedScorer(ScoringConfig()), 1),
+        z_values=(2.0,),
+        p_values=(0.5, 2.0),
+        kinds=(SiKind.WHOLE,),
+        transforms=(LINEAR,),
+    )
+    results = []
+    with pytest.raises(ConfigError) as exc_info:
+        for item in sweep(bad):
+            results.append(item)
+    assert len(results) == 1
+    assert exc_info.value.field == "p_weight"
+    assert str(exc_info.value).startswith("sweep point z2_p2_whole_linear: p_weight: ")

@@ -130,6 +130,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         spec_of(("a", 0.5, 0.0))  # non-positive weight
     with pytest.raises(ValueError):
+        spec_of(("a", 0.5, float("1e309")))  # infinite weight: no pick could land on it
+    with pytest.raises(ValueError):
         spec_of(("a", 0.5, 1.0), ("a", 0.5, 1.0))  # duplicate id
     with pytest.raises(ValueError):
         spec_of(("a", 0.5, 1.0), total_events=0)
