@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import errno
 import io
+import itertools
 import json
 import os
 import sys
@@ -53,11 +54,11 @@ from .scoring import (
 )
 from .simulate import AnswerProfile, StreamSpec, simulate, stability_report
 from .state import (
-    AnswerEntry,
     NegativeCountError,
     QuestionState,
     VoteEvent,
-    rank_answers,
+    _rank_counts,
+    rank_answers,  # not called here; bench/tracer.py wraps it under this name
 )
 
 
@@ -280,7 +281,12 @@ def resolve_scoring_config(opts: dict[str, Any]) -> ScoringConfig:
         return validate_config(config)
     except ConfigError as exc:  # it names a field; users see flag spellings
         flag = "poly-a" if exc.field == "si_transform.exponent" else exc.field.replace("_", "-")
-        raise CliError(f"{flag}: {str(exc).split(': ', 1)[1]}") from exc
+        raise _flag_error(flag, exc) from exc
+
+
+def _flag_error(flag: str, exc: ConfigError) -> CliError:
+    """``exc``'s message with the flag named in place of the config field."""
+    return CliError(f"{flag}: {str(exc).split(': ', 1)[1]}")
 
 
 def _open_input(path: str) -> TextIO:
@@ -325,8 +331,8 @@ def _reject_constant(name: str) -> Any:
 # one decoder for every line: json.loads(parse_constant=...) would build a
 # new decoder per call
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-# replay's one-pass check calls the scanner by this name; _parse_jsonl_line
-# and decode() look it up on the decoder
+# the one-pass checks of rank and replay call the scanner by this name;
+# _parse_jsonl_line and decode() look it up on the decoder
 _SCAN_ONCE = _DECODER.scan_once
 _WHITESPACE = json.decoder.WHITESPACE.match
 
@@ -413,53 +419,81 @@ def cmd_score(args: argparse.Namespace) -> int:
 # --- rank -------------------------------------------------------------------
 
 
-def _read_tallies(fh: TextIO) -> list[AnswerEntry]:
-    entries: list[AnswerEntry] = []
-    seen: set[str] = set()
+def _read_tallies(fh: TextIO) -> dict[str, tuple[int, int]]:
+    """Each answer's ``(up, down)``, in file order.
+
+    A line that is one object from its first character, with a new string
+    ``answer_id`` and in-range integer counts, is checked in one pass.  Any
+    other line goes through :func:`_tally_line`, which reports the first
+    failing check.
+    """
+    tallies: dict[str, tuple[int, int]] = {}
+    scan, whitespace, hi = _SCAN_ONCE, _WHITESPACE, _INT_MAX
     for line_no, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        obj = _parse_jsonl_line(line_no, line)
-        answer_id = _require_str(line_no, obj, "answer_id")
-        up = _require_int(line_no, obj, "up", minimum=0)
-        down = _require_int(line_no, obj, "down", minimum=0)
-        if answer_id in seen:
-            raise CliError(f"line {line_no}: duplicate answer_id {answer_id!r}")
-        seen.add(answer_id)
-        entries.append(AnswerEntry(answer_id, VoteTally(up, down), len(entries)))
-    return entries
+        try:
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            obj = None
+        if type(obj) is dict and whitespace(line, end).end() == len(line):
+            get = obj.get
+            answer_id = get("answer_id")
+            up = get("up")
+            down = get("down")
+            # type(x) is int excludes bool, as _require_int does
+            if (type(answer_id) is str and type(up) is int and type(down) is int
+                    and 0 <= up <= hi and 0 <= down <= hi and answer_id not in tallies):
+                tallies[answer_id] = (up, down)
+                continue
+        _tally_line(line_no, line, tallies)
+    return tallies
 
 
-def _emit_ranking(entries: Sequence[AnswerEntry], config: ScoringConfig, out: TextIO,
+def _tally_line(line_no: int, line: str, tallies: dict[str, tuple[int, int]]) -> None:
+    """Check one line field by field and add its tally, raising the message
+    of the first check that fails."""
+    if not line.strip():
+        return
+    obj = _parse_jsonl_line(line_no, line)
+    answer_id = _require_str(line_no, obj, "answer_id")
+    up = _require_int(line_no, obj, "up", minimum=0)
+    down = _require_int(line_no, obj, "down", minimum=0)
+    if answer_id in tallies:
+        raise CliError(f"line {line_no}: duplicate answer_id {answer_id!r}")
+    tallies[answer_id] = (up, down)
+
+
+def _emit_ranking(tallies: Mapping[str, tuple[int, int]], config: ScoringConfig, out: TextIO,
                   question_id: str | None = None,
                   raw_maxima: tuple[int, int, int] | None = None) -> None:
     """One JSON object per ranked answer, byte-for-byte what ``json.dumps``
-    gives for the same dict, formatted without building the dict."""
-    ranked = rank_answers(entries, config, raw_maxima)
-    tallies = {entry.answer_id: entry.tally for entry in entries}
+    gives for the same dict, formatted without building the dict.
+    ``tallies`` maps each answer id to its ``(up, down)`` in creation order."""
+    ids, counts = list(tallies), list(tallies.values())
+    order, breakdowns, _ = _rank_counts(counts, config, raw_maxima)
     start = "{" if question_id is None else f'{{"question_id": {_json_str(question_id)}, '
     # answers with equal tallies share a breakdown, so its scores are
-    # formatted once; keyed by identity, since ``ranked`` keeps every
+    # formatted once; keyed by identity, since ``breakdowns`` keeps every
     # breakdown alive and equal tallies are not assumed to share one
     scores: dict[int, str] = {}
-    for position, (answer_id, breakdown) in enumerate(ranked.entries, start=1):
-        tally = tallies[answer_id]
+    for position, i in enumerate(order, start=1):
+        breakdown = breakdowns[i]
         text = scores.get(id(breakdown))
         if text is None:
             text = scores[id(breakdown)] = (
                 f'"wilson_lower": {_json12(breakdown.wilson.lower)}, '
                 f'"si": {_json12(breakdown.si)}, "combined": {_json12(breakdown.combined)}}}\n'
             )
-        out.write(f'{start}"rank": {position}, "answer_id": {_json_str(answer_id)}, '
-                  f'"up": {tally.up}, "down": {tally.down}, {text}')
+        up, down = counts[i]
+        out.write(f'{start}"rank": {position}, "answer_id": {_json_str(ids[i])}, '
+                  f'"up": {up}, "down": {down}, {text}')
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     config = resolve_scoring_config(_flag_values(args))
     with _reading(args.tallies) as fh:
-        entries = _read_tallies(fh)
-    if entries:
-        _emit_ranking(entries, config, sys.stdout)
+        tallies = _read_tallies(fh)
+    if tallies:
+        _emit_ranking(tallies, config, sys.stdout)
     return 0
 
 
@@ -545,7 +579,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         states = _replay_events(fh)
     # written only after the last line, so a bad line leaves stdout empty
     for question_id, state in states.items():
-        _emit_ranking(state.entries(), config, sys.stdout, question_id=question_id,
+        _emit_ranking(state._counts, config, sys.stdout, question_id=question_id,
                       raw_maxima=(state.raw_n_max, state.raw_u_max, state.raw_d_max))
     return 0
 
@@ -621,6 +655,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+# the flag behind each field a sweep point may get wrong
+_SWEEP_FIELD_FLAGS = {"z": "z-values", "p_weight": "p-values", "si_transform.exponent": "poly-a"}
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     opts = _flag_values(args)
     base = _build_grid_spec(opts)
@@ -636,6 +674,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    # every point is checked before any directory or grid is made, in sweep
+    # order, so the first bad point is reported, by its flag
+    for z, p_weight, transform in itertools.product(spec.z_values, spec.p_values, spec.transforms):
+        try:
+            validate_config(replace(base.scorer.config, z=z, p_weight=p_weight,
+                                    si_transform=transform))
+        except ConfigError as exc:
+            raise _flag_error(_SWEEP_FIELD_FLAGS[exc.field], exc) from exc
 
     out_dir = Path(opts["out-dir"])
     paths: list[Path] = []

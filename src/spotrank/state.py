@@ -10,7 +10,7 @@ a retraction that touches the current maximum holder triggers a full rescan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .scoring import (
     Maxima,
@@ -91,23 +91,44 @@ def rank_answers(
     then floored per ``config.n_max_floor``.  Answers with equal tallies share
     one (frozen) :class:`ScoreBreakdown`.
     """
-    entries = list(answers)
+    # sorted stably by created_seq, an answer's position breaks ties as its
+    # created_seq does, and answers with equal seqs keep their input order
+    entries = sorted(answers, key=lambda entry: entry.created_seq)
+    order, breakdowns, maxima = _rank_counts(
+        [(entry.tally.up, entry.tally.down) for entry in entries], config, raw_maxima
+    )
+    return RankedList(
+        tuple((entries[i].answer_id, breakdowns[i]) for i in order), config, maxima
+    )
+
+
+def _rank_counts(
+    counts: Sequence[tuple[int, int]],
+    config: ScoringConfig,
+    raw_maxima: tuple[int, int, int] | None = None,
+) -> tuple[list[int], list[ScoreBreakdown], Maxima]:
+    """The ranking kernel: the positions of ``counts`` in rank order, the
+    breakdown of each position and the floored maxima they were scored
+    against.
+
+    Positions order by higher combined score, then higher up-count, then
+    lower position.  When ``raw_maxima`` is omitted it is computed from the
+    counts.  Under one maxima snapshot the score depends on the tally alone,
+    so each distinct ``(up, down)`` is scored once and its positions share
+    the breakdown.
+    """
     if raw_maxima is None:
-        raw_maxima = scan_maxima(entries)
+        raw_maxima = _max_counts(counts)
     maxima = effective_maxima(*raw_maxima, floor=config.n_max_floor)
-    # under one maxima snapshot the score depends on the tally alone, so each
-    # distinct (up, down) is scored once and its entries share the breakdown
-    breakdowns: dict[tuple[int, int], ScoreBreakdown] = {}
-    scored = []
-    for entry in entries:
-        tally = entry.tally
-        key = (tally.up, tally.down)
-        breakdown = breakdowns.get(key)
-        if breakdown is None:
-            breakdown = breakdowns[key] = combined_score(tally, maxima, config)
-        scored.append((entry, breakdown))
-    scored.sort(key=lambda pair: (-pair[1].combined, -pair[0].tally.up, pair[0].created_seq))
-    return RankedList(tuple((e.answer_id, b) for e, b in scored), config, maxima)
+    scored: dict[tuple[int, int], ScoreBreakdown] = {}
+    for key in counts:
+        if key not in scored:
+            scored[key] = combined_score(VoteTally(*key), maxima, config)
+    # one sort key per distinct tally; the sort is stable, so positions with
+    # equal keys stay in position order
+    sort_keys = {key: (-breakdown.combined, -key[0]) for key, breakdown in scored.items()}
+    order = sorted(range(len(counts)), key=[sort_keys[key] for key in counts].__getitem__)
+    return order, [scored[key] for key in counts], maxima
 
 
 def scan_maxima(answers: Iterable[AnswerEntry]) -> tuple[int, int, int]:
@@ -134,7 +155,8 @@ class QuestionState:
     Tallies are held as plain ``(up, down)`` tuples keyed by answer id, so
     applying an event allocates no per-answer objects; the dict's insertion
     order is the creation order, which makes an answer's position its
-    ``created_seq``.  :class:`AnswerEntry` views are built only on read.
+    ``created_seq``.  :meth:`rank` reads the tuples as they are;
+    :class:`AnswerEntry` views are built only by :meth:`entries`.
     """
 
     def __init__(self, question_id: str):
@@ -216,11 +238,11 @@ class QuestionState:
 
     def rank(self, config: ScoringConfig) -> RankedList:
         """Rank all answers under the current maxima, floored per config."""
-        return rank_answers(
-            self.entries(),
-            config,
-            (self.raw_n_max, self.raw_u_max, self.raw_d_max),
+        order, breakdowns, maxima = _rank_counts(
+            list(self._counts.values()), config, (self.raw_n_max, self.raw_u_max, self.raw_d_max)
         )
+        ids = list(self._counts)
+        return RankedList(tuple((ids[i], breakdowns[i]) for i in order), config, maxima)
 
     def snapshot(self) -> QuestionSnapshot:
         return QuestionSnapshot(

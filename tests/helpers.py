@@ -17,9 +17,11 @@ So do the simulation's event generator (a linear scan per weighted pick),
 the simulation itself (one ``apply_event`` per event, where the package
 applies one delta per answer between snapshots), its Kendall tau (an O(m^2)
 pair count), ``rank_answers`` (one score per answer, where the package
-scores each distinct tally once) and ``replay`` (every field checked on its
-own and one ``VoteEvent`` per line, where the package checks a well-formed
-line in one pass).
+scores each distinct tally once), ``rank`` (every field checked on its own
+and one ``AnswerEntry`` per line, where the package checks a well-formed
+line in one pass and ranks plain ``(up, down)`` columns) and ``replay``
+(every field checked on its own and one ``VoteEvent`` per line, where the
+package checks a well-formed line in one pass).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from spotrank.scoring import (
 )
 from spotrank.simulate import SIM_QUESTION_ID, SplitMix64
 from spotrank.state import (
+    AnswerEntry,
     NegativeCountError,
     QuestionState,
     RankedList,
@@ -343,3 +346,27 @@ def replay_reference(lines, config=ScoringConfig()) -> tuple[int, str, str]:
         out.append(ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries},
                                      question_id=question_id))
     return 0, "".join(out), ""
+
+
+def rank_reference(lines, config=ScoringConfig()) -> tuple[int, str, str]:
+    """The per-line rank loop: each field checked by its own ``cli`` check,
+    one ``AnswerEntry`` per line and :func:`rank_answers_reference`.  Returns
+    the exit code, stdout and stderr of ``spotrank rank`` on ``lines``."""
+    entries = []
+    seen = set()
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            obj = cli._parse_jsonl_line(line_no, line)
+            answer_id = cli._require_str(line_no, obj, "answer_id")
+            up = cli._require_int(line_no, obj, "up", minimum=0)
+            down = cli._require_int(line_no, obj, "down", minimum=0)
+            if answer_id in seen:
+                raise cli.CliError(f"line {line_no}: duplicate answer_id {answer_id!r}")
+            seen.add(answer_id)
+            entries.append(AnswerEntry(answer_id, VoteTally(up, down), len(entries)))
+    except cli.CliError as exc:
+        return 2, "", f"error: {exc}\n"
+    ranked = rank_answers_reference(entries, config)
+    return 0, ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries}), ""

@@ -12,10 +12,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import ranking_reference, replay_reference
+from helpers import rank_reference, ranking_reference, replay_reference
 from spotrank import cli
 from spotrank.cli import main
-from spotrank.scoring import LOG10, ScoringConfig, SiKind, VoteTally
+from spotrank.scoring import LOG10, ScoringConfig, SiKind, SiTransform, VoteTally
 from spotrank.state import AnswerEntry, QuestionState, VoteEvent, rank_answers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -192,6 +192,17 @@ def test_rank_output_bytes_match_json_dumps(tmp_path, capsys):
     assert out == ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries})
 
 
+def _fake_ranking(monkeypatch, ranked_entries, file_ids):
+    """Make the ranking kernel behind ``rank`` return ``ranked_entries``
+    (answer id, breakdown) for the answers ``file_ids``, in file order."""
+    position = {answer_id: i for i, answer_id in enumerate(file_ids)}
+    breakdowns = [None] * len(file_ids)
+    for answer_id, breakdown in ranked_entries:
+        breakdowns[position[answer_id]] = breakdown
+    order = [position[answer_id] for answer_id, _ in ranked_entries]
+    monkeypatch.setattr(cli, "_rank_counts", lambda *args: (order, breakdowns, None))
+
+
 def test_rank_output_bytes_match_json_dumps_on_special_floats(tmp_path, capsys, monkeypatch):
     scores = {  # answer_id -> (wilson_lower, si, combined)
         "a": (-0.0, math.nan, math.inf),
@@ -202,9 +213,9 @@ def test_rank_output_bytes_match_json_dumps_on_special_floats(tmp_path, capsys, 
         (answer_id, SimpleNamespace(wilson=SimpleNamespace(lower=w), si=si, combined=c))
         for answer_id, (w, si, c) in scores.items()
     )
-    monkeypatch.setattr(cli, "rank_answers", lambda *args: SimpleNamespace(entries=fake))
     path = tmp_path / "tallies.jsonl"
     write_jsonl(path, [{"answer_id": a, "up": 1, "down": 0} for a in scores])
+    _fake_ranking(monkeypatch, fake, list(scores))
     rc, out, err = run(capsys, "rank", str(path))
     assert rc == 0 and err == ""
     assert out == ranking_reference(fake, {a: VoteTally(1, 0) for a in scores})
@@ -215,9 +226,9 @@ def test_rank_prints_each_rows_own_tally_when_a_breakdown_is_shared(tmp_path, ca
     shared = SimpleNamespace(wilson=SimpleNamespace(lower=0.25), si=0.1 + 0.2, combined=-0.0)
     tallies = {"a": VoteTally(1, 0), "b": VoteTally(7, 3), "c": VoteTally(0, 12)}
     fake = tuple((answer_id, shared) for answer_id in ("c", "a", "b"))
-    monkeypatch.setattr(cli, "rank_answers", lambda *args: SimpleNamespace(entries=fake))
     path = tmp_path / "tallies.jsonl"
     write_jsonl(path, [{"answer_id": a, "up": t.up, "down": t.down} for a, t in tallies.items()])
+    _fake_ranking(monkeypatch, fake, list(tallies))
     rc, out, err = run(capsys, "rank", str(path))
     assert rc == 0 and err == ""
     assert out == ranking_reference(fake, tallies)
@@ -342,6 +353,124 @@ def test_rank_counts_beyond_int64_are_out_of_range(tmp_path, capsys, up, accepte
     else:
         assert rc == 2 and out == ""
         assert err == "error: line 1: field 'up' is out of range\n"
+
+
+def _checked_path_only(monkeypatch):
+    """Send every rank and replay line through the field-by-field checks."""
+    def no_scan(line, idx):
+        raise StopIteration(idx)
+    monkeypatch.setattr(cli, "_SCAN_ONCE", no_scan)
+
+
+_TALLY_LINES = [
+    '{"answer_id": "a", "up": 1, "down": 0}\n',
+    '{"answer_id": "b", "up": 7, "down": 3}\n',
+    '{"answer_id": "c", "up": 0, "down": 2}\n',
+]
+_TALLY_2 = _TALLY_LINES[1]
+
+# line 2 of _TALLY_LINES replaced, with the stderr the field-by-field path
+# gives (None marks a line that is accepted) and, where given, line 1
+# replaced too
+_BAD_TALLY_LINE_2 = {
+    "blank": ("\n", None),
+    "whitespace-only": (" \t \n", None),
+    "leading-space": (" " + _TALLY_2, None),
+    "crlf": (_TALLY_2[:-1] + "\r\n", None),
+    "bom": ("\ufeff" + _TALLY_2,
+            "error: line 2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))\n"),
+    "trailing-junk": (_TALLY_2[:-1] + " x\n", "error: line 2: invalid JSON (Extra data)\n"),
+    "array": ("[1, 2]\n", "error: line 2: expected a JSON object\n"),
+    "nan": (_TALLY_2.replace('"up": 7', '"up": NaN'),
+            "error: line 2: invalid JSON (non-finite number NaN)\n"),
+    "bool-count": (_TALLY_2.replace('"up": 7', '"up": true'),
+                   "error: line 2: field 'up' must be an integer\n"),
+    "float-count": (_TALLY_2.replace('"down": 3', '"down": 3.0'),
+                    "error: line 2: field 'down' must be an integer\n"),
+    "count-2**63": (_TALLY_2.replace('"up": 7', f'"up": {2**63}'),
+                    "error: line 2: field 'up' is out of range\n"),
+    "negative-count": (_TALLY_2.replace('"down": 3', '"down": -1'),
+                       "error: line 2: field 'down' must be >= 0\n"),
+    "missing-field": (_TALLY_2.replace(', "down": 3', ""),
+                      "error: line 2: field 'down' must be an integer\n"),
+    "non-string-id": (_TALLY_2.replace('"answer_id": "b"', '"answer_id": 5'),
+                      "error: line 2: field 'answer_id' must be a string\n"),
+    "bad-id-before-bad-count": ('{"answer_id": null, "up": -1}\n',
+                                "error: line 2: field 'answer_id' must be a string\n"),
+    "duplicate-after-one-pass-line": (_TALLY_2.replace('"b"', '"a"'),
+                                      "error: line 2: duplicate answer_id 'a'\n"),
+    "duplicate-after-fallback-line": (_TALLY_2.replace('"b"', '"a"'),
+                                      "error: line 2: duplicate answer_id 'a'\n",
+                                      " " + _TALLY_LINES[0]),
+    "duplicate-on-fallback-line": (" " + _TALLY_2.replace('"b"', '"a"'),
+                                   "error: line 2: duplicate answer_id 'a'\n"),
+    "deep-nesting": ("[" * 200_000 + "\n",
+                     "error: line 2: invalid JSON (maximum recursion depth exceeded"
+                     " while decoding a JSON array from a unicode string)\n"),
+}
+
+
+@pytest.mark.parametrize("one_pass", [True, False], ids=["one-pass", "checked-only"])
+@pytest.mark.parametrize("case", list(_BAD_TALLY_LINE_2))
+def test_rank_bad_line_table(tmp_path, capsys, monkeypatch, case, one_pass):
+    line, expected_err, *first = _BAD_TALLY_LINE_2[case]
+    lines = [*(first or _TALLY_LINES[:1]), line, _TALLY_LINES[2]]
+    if not one_pass:
+        _checked_path_only(monkeypatch)
+    path = tmp_path / "tallies.jsonl"
+    # newline="" keeps the CR of the CRLF case on disk
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    rc, out, err = run(capsys, "rank", str(path))
+    if expected_err is None:
+        # blank lines are skipped, leading whitespace is JSON whitespace and
+        # a CRLF ending is read as "\n"
+        kept = _TALLY_LINES if line.strip() else [_TALLY_LINES[0], _TALLY_LINES[2]]
+        assert (rc, err) == (0, "")
+        assert out == rank_reference(kept)[1]
+    else:
+        assert (rc, out, err) == (2, "", expected_err)
+    with open(path, encoding="utf-8") as fh:
+        assert (rc, out, err) == rank_reference(fh)
+
+
+_TALLY_VALUES = st.one_of(
+    st.integers(-2, 5), st.integers(), st.sampled_from([2**63 - 1, 2**63, -1]),
+    st.booleans(), st.none(), st.floats(allow_nan=False), st.text(max_size=3),
+)
+
+_TALLY_MUTATIONS = st.one_of(
+    st.sampled_from([case[0] for case in _BAD_TALLY_LINE_2.values() if len(case[0]) < 1000]),
+    st.text(max_size=20).map(lambda text: text + "\n"),
+    st.builds(
+        lambda key, value: json.dumps({"answer_id": "x", "up": 1, "down": 0, key: value}) + "\n",
+        st.sampled_from(["answer_id", "up", "down", "x"]),
+        _TALLY_VALUES,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    tallies=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6), st.integers(0, 6)),
+                     max_size=25),
+    mutations=st.lists(st.tuples(st.integers(0, 30), _TALLY_MUTATIONS), max_size=3),
+    kind=st.sampled_from(list(SiKind)),
+    transform=st.sampled_from(["linear", "log", "exp"]),
+)
+def test_rank_equals_the_per_line_reference(tmp_path, capsys, tallies, mutations, kind, transform):
+    lines = [json.dumps({"answer_id": f"a{i}", "up": up, "down": down}) + "\n"
+             for i, up, down in tallies]
+    for position, line in mutations:
+        lines.insert(min(position, len(lines)), line)
+    path = tmp_path / "tallies.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    result = run(capsys, "rank", str(path), "--kind", kind.value, "--transform", transform)
+    config = ScoringConfig(si_kind=kind, si_transform=SiTransform(transform))
+    with open(path, encoding="utf-8") as fh:
+        assert result == rank_reference(fh, config)
 
 
 # --- replay --------------------------------------------------------------------
@@ -582,13 +711,6 @@ _BAD_LINE_2 = {
 }
 
 
-def _checked_path_only(monkeypatch):
-    """Send every replay line through the field-by-field checks."""
-    def no_scan(line, idx):
-        raise StopIteration(idx)
-    monkeypatch.setattr(cli, "_SCAN_ONCE", no_scan)
-
-
 @pytest.mark.parametrize("one_pass", [True, False], ids=["one-pass", "checked-only"])
 @pytest.mark.parametrize("case", list(_BAD_LINE_2))
 def test_replay_bad_line_table(tmp_path, capsys, monkeypatch, case, one_pass):
@@ -804,6 +926,29 @@ def test_sweep_default_lists_make_twenty_files(tmp_path, capsys):
     printed = out.splitlines()
     assert len(printed) == 20
     assert sorted(printed) == [str(out_dir / name) for name in files]
+
+
+@pytest.mark.parametrize("flags,expected_err", [
+    (["--p-values", "0.5,2"], "error: p-values: must be in [0, 1], got 2.0\n"),
+    (["--z-values", "1,nan"], "error: z-values: must be a non-negative real, got nan\n"),
+    # sweep order: z = 1 with P = 2 comes before z = -1
+    (["--z-values", "1,-1", "--p-values", "0.5,2"], "error: p-values: must be in [0, 1], got 2.0\n"),
+    (["--transforms", "linear,poly", "--poly-a", "-1"],
+     "error: poly-a: poly transform needs a positive exponent, got -1.0\n"),
+], ids=["p", "z", "first-in-sweep-order", "poly-a"])
+def test_sweep_checks_every_point_before_any_grid(tmp_path, capsys, monkeypatch, flags,
+                                                  expected_err):
+    grids_module = importlib.import_module("spotrank.grids")
+    calls = []
+    grid_scores = grids_module.grid_scores
+    monkeypatch.setattr(grids_module, "grid_scores",
+                        lambda spec: calls.append(spec) or grid_scores(spec))
+    out_dir = tmp_path / "grids"
+    rc, out, err = run(capsys, "sweep", "--u-range", "2", "--d-range", "2", "--n-max", "10",
+                       "--out-dir", str(out_dir), *flags)
+    assert (rc, out, err) == (2, "", expected_err)
+    assert calls == []
+    assert not out_dir.exists()
 
 
 def test_sweep_custom_lists(tmp_path, capsys):
@@ -1063,6 +1208,39 @@ def test_config_file_invalid_json(tmp_path, capsys):
     rc, _, err = run(capsys, "score", "--up", "1", "--down", "0", "--config", str(config))
     assert rc == 2
     assert "invalid JSON" in err
+
+
+def test_cli_paths_build_no_answer_entry(tmp_path, capsys, monkeypatch):
+    # rank, replay and simulate rank plain (up, down) columns; AnswerEntry
+    # views are for library callers
+    state_module = importlib.import_module("spotrank.state")
+    built = []
+    init = state_module.AnswerEntry.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(state_module.AnswerEntry, "__init__", counting)
+    write_jsonl(tmp_path / "tallies.jsonl", TRIO)
+    write_jsonl(tmp_path / "events.jsonl", [
+        # line 8 retracts the up vote of line 2
+        {"question_id": f"q{i % 2}", "answer_id": f"a{i % 3}", "up_delta": -1 if i == 7 else 1,
+         "down_delta": int(i % 2 == 0), "ts": i}
+        for i in range(12)
+    ])
+    write_jsonl(tmp_path / "profiles.jsonl", PROFILES)
+    for argv in (["rank", str(tmp_path / "tallies.jsonl")],
+                 ["replay", str(tmp_path / "events.jsonl")],
+                 ["simulate", str(tmp_path / "profiles.jsonl"), "--events", "50", "--cadence", "7",
+                  "--trajectory-out", str(tmp_path / "t.jsonl"),
+                  "--report-out", str(tmp_path / "r.json")]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert argv[0] == "simulate" or out
+    assert built == []
+    state_module.AnswerEntry("a", VoteTally(1, 0), 0)
+    assert len(built) == 1  # the counter sees a construction
 
 
 # --- framework -----------------------------------------------------------------

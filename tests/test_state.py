@@ -347,6 +347,48 @@ def test_rank_answers_scores_each_distinct_tally_once(monkeypatch):
         assert shared.setdefault(tallies[answer_id], breakdown) is breakdown
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 4), st.integers(-3, 3)),
+        max_size=30,
+    ),
+    config=st.sampled_from(_RANK_CONFIGS),
+    raw_maxima=st.one_of(st.none(), st.just((2000, 1500, 700))),
+)
+def test_rank_answers_matches_reference_when_seqs_are_not_positions(rows, config, raw_maxima):
+    # seqs repeat, skip values, go negative and come in any order
+    entries = [AnswerEntry(f"a{i}", VoteTally(up, down), seq)
+               for i, (up, down, seq) in enumerate(rows)]
+    ranked = rank_answers(entries, config, raw_maxima)
+    expected = rank_answers_reference(entries, config, raw_maxima)
+    assert ranked.entries == expected.entries
+    assert ranked.maxima == expected.maxima
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(-2, 3), st.integers(-2, 3)),
+        max_size=80,
+    ),
+    configs=st.lists(st.sampled_from(_RANK_CONFIGS), min_size=1, max_size=3),
+)
+def test_state_rank_equals_rank_answers_of_its_entries(steps, configs):
+    state = QuestionState("q")
+    for answer_index, up_delta, down_delta in steps:
+        if up_delta or down_delta:
+            try:
+                state.apply_event(event(f"a{answer_index}", up=up_delta, down=down_delta))
+            except NegativeCountError:
+                pass  # a retraction below zero; the state is unchanged
+    raw_maxima = (state.raw_n_max, state.raw_u_max, state.raw_d_max)
+    for config in configs:
+        ranked = state.rank(config)
+        assert ranked == rank_answers(state.entries(), config, raw_maxima)
+        assert ranked == rank_answers_reference(state.entries(), config, raw_maxima)
+
+
 def test_maxima_unchanged_implies_si_unchanged():
     state = build_state(("a", 60, 10), ("b", 20, 5))
     config = ScoringConfig()
