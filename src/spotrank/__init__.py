@@ -11,6 +11,7 @@ from .scoring import (
     Bound,
     ConfigError,
     EXP,
+    InconsistentMaximaError,
     LINEAR,
     LOG10,
     Maxima,
@@ -46,7 +47,6 @@ from .grids import (
     AverageRatingScorer,
     GridSpec,
     ImprovedScorer,
-    InconsistentMaximaError,
     ScoreGrid,
     SweepPoint,
     SweepSpec,

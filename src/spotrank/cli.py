@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import errno
 import io
-import itertools
 import json
 import os
 import sys
@@ -43,11 +42,13 @@ from .scoring import (
     Bound,
     _TRANSFORM_NAMES,
     ConfigError,
+    InconsistentMaximaError,
     ScoringConfig,
     SiKind,
     SiTransform,
     VoteTally,
     WholeSiVariant,
+    check_coverage,
     combined_score,
     effective_maxima,
     validate_config,
@@ -186,13 +187,15 @@ _SCORING_FLAGS = {
                            "denominator convention for the linear whole index"),
 }
 
-# a lone tally is its own question: maxima default to its own counts
+# a lone tally is its own question: maxima default to its own counts, and
+# must cover them once floored (scoring.check_coverage)
 _SCORE_FLAGS = {
     "up": _Flag(_to_int, None, "up-votes of the tally", required=True),
     "down": _Flag(_to_int, None, "down-votes of the tally", required=True),
-    "n-max": _Flag(_to_int, None, "raw question n_max (default: the tally's own total)"),
-    "u-max": _Flag(_to_int, None, "raw question u_max (default: the tally's up-votes)"),
-    "d-max": _Flag(_to_int, None, "raw question d_max (default: the tally's down-votes)"),
+    "n-max": _Flag(_to_int, None, "raw question n_max, >= up+down unless the kind is upvote or "
+                                  "downvote (default: the tally's own total)"),
+    "u-max": _Flag(_to_int, None, "raw question u_max, >= up for kind upvote (default: up)"),
+    "d-max": _Flag(_to_int, None, "raw question d_max, >= down for kind downvote (default: down)"),
 }
 
 _GRID_FLAGS = {
@@ -281,12 +284,7 @@ def resolve_scoring_config(opts: dict[str, Any]) -> ScoringConfig:
         return validate_config(config)
     except ConfigError as exc:  # it names a field; users see flag spellings
         flag = "poly-a" if exc.field == "si_transform.exponent" else exc.field.replace("_", "-")
-        raise _flag_error(flag, exc) from exc
-
-
-def _flag_error(flag: str, exc: ConfigError) -> CliError:
-    """``exc``'s message with the flag named in place of the config field."""
-    return CliError(f"{flag}: {str(exc).split(': ', 1)[1]}")
+        raise CliError(f"{flag}: {exc.reason}") from exc
 
 
 def _open_input(path: str) -> TextIO:
@@ -331,23 +329,13 @@ def _reject_constant(name: str) -> Any:
 # one decoder for every line: json.loads(parse_constant=...) would build a
 # new decoder per call
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-# the one-pass checks of rank and replay call the scanner by this name;
-# _parse_jsonl_line and decode() look it up on the decoder
+# the one-pass checks of rank and replay call the scanner by this name; a
+# line they do not take goes through decode(), which looks it up on the decoder
 _SCAN_ONCE = _DECODER.scan_once
 _WHITESPACE = json.decoder.WHITESPACE.match
 
 
 def _parse_jsonl_line(line_no: int, line: str) -> dict:
-    # a line that is one object from its first character, with only JSON
-    # whitespace after it, takes one scanner call; any other line goes
-    # through decode, whose errors are the messages reported
-    try:
-        obj, end = _DECODER.scan_once(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    else:
-        if isinstance(obj, dict) and _WHITESPACE(line, end).end() == len(line):
-            return obj
     try:
         obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
@@ -406,9 +394,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     raw = [own[flag] if opts[flag] is None else opts[flag] for flag in own]
     maxima = effective_maxima(*raw, config.n_max_floor)
     try:
-        breakdown = combined_score(tally, maxima, config)
-    except OverflowError as exc:  # exp or poly of a count far above a maximum given
-        raise CliError("si: out of range for a tally so far above its maxima") from exc
+        check_coverage(config.si_kind, maxima, up, down)
+    except InconsistentMaximaError as exc:
+        raise CliError(f"{exc.field.replace('_', '-')}: {exc}") from exc
+    breakdown = combined_score(tally, maxima, config)
     print(f"wilson_lower {breakdown.wilson.lower:.6f}")
     print(f"wilson_upper {breakdown.wilson.upper:.6f}")
     print(f"si {breakdown.si:.6f}")
@@ -664,6 +653,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _build_grid_spec(opts)
     if not isinstance(base.scorer, ImprovedScorer):
         raise CliError("sweep requires --scorer improved")
+    # SweepSpec checks every point, before any directory or grid is made
     try:
         spec = SweepSpec(
             base=base,
@@ -672,17 +662,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             kinds=opts["kinds"],
             transforms=tuple(_transform_from(name, opts["poly-a"]) for name in opts["transforms"]),
         )
+    except ConfigError as exc:  # reported by its flag, without the point
+        raise CliError(f"{_SWEEP_FIELD_FLAGS[exc.field]}: {exc.reason}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    # every point is checked before any directory or grid is made, in sweep
-    # order, so the first bad point is reported, by its flag
-    for z, p_weight, transform in itertools.product(spec.z_values, spec.p_values, spec.transforms):
-        try:
-            validate_config(replace(base.scorer.config, z=z, p_weight=p_weight,
-                                    si_transform=transform))
-        except ConfigError as exc:
-            raise _flag_error(_SWEEP_FIELD_FLAGS[exc.field], exc) from exc
-
     out_dir = Path(opts["out-dir"])
     paths: list[Path] = []
     try:

@@ -3,9 +3,10 @@
 The grids are the numeric surfaces behind contour plots of the scoring rules:
 cell (i, j) holds the score at u = i*step, d = j*step under one fixed maxima
 snapshot.  Cells are computed by the scalar kernel in :mod:`spotrank.scoring`,
-so each one is bit for bit the ``combined_score`` of its tally: the Wilson
-bound runs that kernel's arithmetic on numpy columns, and the spotlight index
-is the scalar function evaluated once per distinct count, then gathered.
+so each one is bit for bit the ``combined_score`` of its tally for counts
+below ``2**53``, the float64 limit: the Wilson bound runs that kernel's
+arithmetic on numpy columns, and the spotlight index is the scalar function
+evaluated once per distinct count, then gathered.
 
 Output is data, not images: long-format CSV with a ``u,d,score`` header and
 ``#`` metadata comments, consumable by any plotting tool.
@@ -14,6 +15,7 @@ Output is data, not images: long-format CSV with a ``u,d,score`` header and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 from typing import Iterator, TextIO, Union
 
@@ -21,6 +23,8 @@ import numpy as np
 
 from .scoring import (
     Bound,
+    ConfigError,
+    InconsistentMaximaError,
     Maxima,
     ScoringConfig,
     SiKind,
@@ -29,12 +33,9 @@ from .scoring import (
     _si_of_count,
     _si_parts,
     _wilson_roots,
+    check_coverage,
     validate_config,
 )
-
-
-class InconsistentMaximaError(ValueError):
-    """The fixed maxima cannot cover every grid cell for the chosen kind."""
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,18 @@ class SweepPoint:
             t += format(self.transform.exponent, "g")
         return f"z{self.z:g}_p{self.p_weight:g}_{self.kind.value}_{t}"
 
+    def config(self, base: ScoringConfig) -> ScoringConfig:
+        return replace(base, z=self.z, p_weight=self.p_weight, si_kind=self.kind,
+                       si_transform=self.transform)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Cartesian sweep over z, p_weight, kind and transform on one base grid."""
+    """Cartesian sweep over z, p_weight, kind and transform on one base grid.
+
+    Every point is checked here, so any spec can be swept; a bad point raises
+    its own error, prefixed ``sweep point <slug>: ``.
+    """
 
     base: GridSpec
     z_values: tuple[float, ...]
@@ -127,29 +136,19 @@ class SweepSpec:
         for name in ("z_values", "p_values", "kinds", "transforms"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-
-
-def _check_coverage(spec: GridSpec) -> None:
-    if not isinstance(spec.scorer, ImprovedScorer):
-        return
-    kind = spec.scorer.config.si_kind
-    m = spec.maxima
-    if kind in (SiKind.WHOLE, SiKind.NET, SiKind.POSITIVE, SiKind.NEGATIVE):
-        needed = spec.u_max_grid + spec.d_max_grid
-        if m.n_max < needed:
-            raise InconsistentMaximaError(
-                f"n_max={m.n_max} cannot cover u+d up to {needed} for kind {kind.value}"
-            )
-    elif kind is SiKind.UPVOTE:
-        if m.u_max < spec.u_max_grid:
-            raise InconsistentMaximaError(
-                f"u_max={m.u_max} cannot cover u up to {spec.u_max_grid} for kind upvote"
-            )
-    else:  # DOWNVOTE
-        if m.d_max < spec.d_max_grid:
-            raise InconsistentMaximaError(
-                f"d_max={m.d_max} cannot cover d up to {spec.d_max_grid} for kind downvote"
-            )
+        # a config does not depend on the kind, nor coverage on z, P or the
+        # transform: each is checked at the first point in sweep order with it
+        base = self.base
+        configs = [SweepPoint(z, p_weight, self.kinds[0], transform) for z, p_weight, transform
+                   in product(self.z_values, self.p_values, self.transforms)]
+        try:
+            for point in configs:
+                validate_config(point.config(base.scorer.config))
+            for point in [replace(configs[0], kind=kind) for kind in self.kinds]:
+                check_coverage(point.kind, base.maxima, base.u_max_grid, base.d_max_grid)
+        except (ConfigError, InconsistentMaximaError) as exc:
+            exc.args = (f"sweep point {point.slug()}: {exc}",)  # type and field kept
+            raise
 
 
 def _average_grid(U: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -208,7 +207,8 @@ def _metadata(spec: GridSpec) -> dict[str, str]:
 
 def grid_scores(spec: GridSpec) -> ScoreGrid:
     """Evaluate the scorer over every (u, d) cell of the spec."""
-    _check_coverage(spec)
+    if isinstance(spec.scorer, ImprovedScorer):
+        check_coverage(spec.scorer.config.si_kind, spec.maxima, spec.u_max_grid, spec.d_max_grid)
     u_values = np.arange(0, spec.u_max_grid + 1, spec.step, dtype=np.int64)
     d_values = np.arange(0, spec.d_max_grid + 1, spec.step, dtype=np.int64)
     U = u_values.astype(np.float64)[:, None]
@@ -231,19 +231,9 @@ def sweep(spec: SweepSpec) -> Iterator[tuple[SweepPoint, ScoreGrid]]:
     """One grid per parameter tuple, in z-outer, then P, kind, transform order."""
     base = spec.base
     base_config = base.scorer.config  # type: ignore[union-attr]
-    for z in spec.z_values:
-        for p_weight in spec.p_values:
-            for kind in spec.kinds:
-                for transform in spec.transforms:
-                    point = SweepPoint(z, p_weight, kind, transform)
-                    config = replace(
-                        base_config, z=z, p_weight=p_weight, si_kind=kind, si_transform=transform
-                    )
-                    try:
-                        yield point, grid_scores(replace(base, scorer=ImprovedScorer(config)))
-                    except ValueError as exc:  # kept as raised, so a ConfigError keeps its field
-                        exc.args = (f"sweep point {point.slug()}: {exc}",)
-                        raise
+    for values in product(spec.z_values, spec.p_values, spec.kinds, spec.transforms):
+        point = SweepPoint(*values)
+        yield point, grid_scores(replace(base, scorer=ImprovedScorer(point.config(base_config))))
 
 
 def emit_csv(grid: ScoreGrid, destination: Union[str, Path, TextIO]) -> None:

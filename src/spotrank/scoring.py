@@ -24,6 +24,15 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.reason = message
+
+
+class InconsistentMaximaError(ValueError):
+    """Raised by :func:`check_coverage`; ``field`` names the maximum too small."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -284,6 +293,21 @@ def spotlight_index(
                                             whole_variant)
     si = _si_of_count(count, top, transform, variant)
     return -si if negate else si
+
+
+def check_coverage(kind: SiKind, maxima: Maxima, up: int, down: int) -> None:
+    """Raise :class:`InconsistentMaximaError` unless the floored ``maxima`` cover
+    the tally for ``kind``; covered, every transform keeps the index in :func:`si_range`."""
+    if kind is SiKind.UPVOTE:
+        field, counted, count = "u_max", "u", up
+    elif kind is SiKind.DOWNVOTE:
+        field, counted, count = "d_max", "d", down
+    else:  # the four kinds that divide by n_max
+        field, counted, count = "n_max", "u+d", up + down
+    top = getattr(maxima, field)
+    if top < count:
+        raise InconsistentMaximaError(
+            field, f"{field}={top} cannot cover {counted} up to {count} for kind {kind.value}")
 
 
 def si_range(kind: SiKind, transform: SiTransform = LINEAR) -> tuple[float, float]:

@@ -10,12 +10,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from helpers import rank_reference, ranking_reference, replay_reference
 from spotrank import cli
 from spotrank.cli import main
-from spotrank.scoring import LOG10, ScoringConfig, SiKind, SiTransform, VoteTally
+from spotrank.scoring import LOG10, ScoringConfig, SiKind, SiTransform, VoteTally, si_range
 from spotrank.state import AnswerEntry, QuestionState, VoteEvent, rank_answers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -935,7 +935,10 @@ def test_sweep_default_lists_make_twenty_files(tmp_path, capsys):
     (["--z-values", "1,-1", "--p-values", "0.5,2"], "error: p-values: must be in [0, 1], got 2.0\n"),
     (["--transforms", "linear,poly", "--poly-a", "-1"],
      "error: poly-a: poly transform needs a positive exponent, got -1.0\n"),
-], ids=["p", "z", "first-in-sweep-order", "poly-a"])
+    # the whole kind fits; its grid is not built before upvote fails
+    (["--kinds", "whole,upvote", "--u-max", "1"],
+     "error: sweep point z0_p0_upvote_linear: u_max=1 cannot cover u up to 2 for kind upvote\n"),
+], ids=["p", "z", "first-in-sweep-order", "poly-a", "coverage"])
 def test_sweep_checks_every_point_before_any_grid(tmp_path, capsys, monkeypatch, flags,
                                                   expected_err):
     grids_module = importlib.import_module("spotrank.grids")
@@ -979,9 +982,10 @@ def test_sweep_failure_removes_partial_outputs(tmp_path, capsys):
                        "--out-dir", str(out_dir),
                        "--z-values", "2", "--p-values", "0.5",
                        "--kinds", "whole,upvote", "--transforms", "linear")
-    assert rc == 2
-    assert "upvote" in err
-    assert list(out_dir.iterdir()) == []  # the completed whole-kind file was rolled back
+    assert (rc, out) == (2, "")
+    assert err == ("error: sweep point z2_p0.5_upvote_linear: "
+                   "u_max=10 cannot cover u up to 30 for kind upvote\n")
+    assert not out_dir.exists()  # every point is checked before the directory is made
 
 
 def test_sweep_failure_keeps_existing_targets(tmp_path, capsys):
@@ -1535,14 +1539,58 @@ def test_help_shows_the_defaults_and_choices_of_the_scoring_flags(capsys):
     assert "--z Z normal quantile (default 2)" in text
 
 
-@pytest.mark.parametrize("argv", [
-    ["--up", "10000", "--down", "0", "--n-max", "1", "--transform", "exp"],
-    ["--up", "10", "--down", "0", "--n-max", "1", "--transform", "poly", "--poly-a", "1e308"],
-], ids=["exp", "poly"])
-def test_score_beyond_float_range_exits_2(capsys, argv):
+@pytest.mark.parametrize("argv,expected_err", [
+    # these two overflowed float range before maxima had to cover the tally
+    (["--up", "10000", "--down", "0", "--n-max", "1", "--transform", "exp"],
+     "error: n-max: n_max=1 cannot cover u+d up to 10000 for kind whole\n"),
+    (["--up", "10", "--down", "0", "--n-max", "1", "--transform", "poly", "--poly-a", "1e308"],
+     "error: n-max: n_max=1 cannot cover u+d up to 10 for kind whole\n"),
+    # this one printed si 8103.083928
+    (["--up", "10", "--down", "0", "--kind", "upvote", "--transform", "exp", "--u-max", "1",
+      "--n-max", "1"], "error: u-max: u_max=1 cannot cover u up to 10 for kind upvote\n"),
+    (["--up", "0", "--down", "7", "--kind", "downvote", "--d-max", "6", "--n-max-floor", "5"],
+     "error: d-max: d_max=6 cannot cover d up to 7 for kind downvote\n"),
+], ids=["exp", "poly", "upvote-exp", "downvote-floored"])
+def test_score_maxima_below_the_tally_exit_2(capsys, argv, expected_err):
     rc, out, err = run(capsys, "score", *argv)
-    assert (rc, out) == (2, "")
-    assert err == "error: si: out of range for a tally so far above its maxima\n"
+    assert (rc, out, err) == (2, "", expected_err)
+
+
+_COUNT = st.integers(0, 40) | st.integers(0, 2**62)
+_ANY_MAXIMUM = st.none() | st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(SiKind)),
+       transform=st.sampled_from(["linear", "log", "exp", "poly"]),
+       poly_a=st.sampled_from(["0.5", "2.5", "1e-300", "1e308"]),
+       up=_COUNT, down=_COUNT, floor=st.integers(1, 5), covers=st.booleans(), data=st.data())
+def test_score_exits_0_in_range_or_2_naming_the_maximum_below_the_tally(
+        kind, transform, poly_a, up, down, floor, covers, data):
+    # the flag of the maximum the kind divides by, and the count it must cover
+    flag, needed = {SiKind.UPVOTE: ("u-max", up),
+                    SiKind.DOWNVOTE: ("d-max", down)}.get(kind, ("n-max", up + down))
+    maxima = {name: data.draw(_ANY_MAXIMUM, label=name) for name in ("n-max", "u-max", "d-max")}
+    if covers:
+        maxima[flag] = data.draw(st.none() | st.integers(needed, 2**63 - 1), label=flag)
+    else:
+        assume(needed > floor)
+        maxima[flag] = data.draw(st.integers(-(2**63), needed - 1), label=flag)
+    argv = ["score", "--up", str(up), "--down", str(down), "--kind", kind.value,
+            "--transform", transform, "--poly-a", poly_a, "--n-max-floor", str(floor),
+            *(arg for name, value in maxima.items() if value is not None
+              for arg in (f"--{name}", str(value)))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if covers:
+        assert (rc, err.getvalue()) == (0, "")
+        si = float(out.getvalue().splitlines()[2].removeprefix("si "))
+        lo, hi = si_range(kind)
+        assert lo <= si <= hi
+    else:
+        assert (rc, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith(f"error: {flag}: ") and err.getvalue().count("\n") == 1
 
 
 # --- fuzz ------------------------------------------------------------------------

@@ -145,12 +145,14 @@ def test_vote_specific_kinds_match_scalar(kind, transform):
             assert grid.scores[i, j] == pytest.approx(expected, abs=1e-12)
 
 
-# Two geometries: every count at step 1, and a step-7 grid whose maxima put
+# Three geometries: every count at step 1; a step-7 grid whose maxima put
 # exp(count - max) below the smallest double for some cells, subnormal for
-# others and normal for the rest.
+# others and normal for the rest; and a step-2**50 grid whose u + d reaches
+# 6 * 2**50, just below 2**53, the limit of the bit-for-bit claim.
 EXACT_GEOMETRIES = [
     (60, 45, Maxima(140, 90, 70), 1),
     (420, 350, Maxima(1200, 800, 600), 7),
+    (3 * 2**50, 3 * 2**50, Maxima(7 * 2**50, 7 * 2**50, 7 * 2**50), 2**50),
 ]
 EXACT_CONFIGS = (
     [(kind, transform, WholeSiVariant.PLAIN)
@@ -389,20 +391,20 @@ def test_sweep_error_names_the_offending_tuple():
     )
     assert len(list(sweep(spec))) == 2
 
-    bad = SweepSpec(
-        base=GridSpec(30, 30, Maxima(100, 10, 100),
-                      ImprovedScorer(ScoringConfig()), 1),
-        z_values=(2.0,),
-        p_values=(0.5,),
-        kinds=(SiKind.WHOLE, SiKind.UPVOTE),
-        transforms=(LINEAR,),
-    )
-    results = []
+    # the whole kind fits and upvote does not: the spec itself is refused,
+    # so no grid of it is ever computed
     with pytest.raises(InconsistentMaximaError) as exc_info:
-        for item in sweep(bad):
-            results.append(item)
-    assert len(results) == 1  # whole kind fits; upvote does not
-    assert "z2_p0.5_upvote_linear" in str(exc_info.value)
+        SweepSpec(
+            base=GridSpec(30, 30, Maxima(100, 10, 100),
+                          ImprovedScorer(ScoringConfig()), 1),
+            z_values=(2.0,),
+            p_values=(0.5,),
+            kinds=(SiKind.WHOLE, SiKind.UPVOTE),
+            transforms=(LINEAR,),
+        )
+    assert exc_info.value.field == "u_max"
+    assert str(exc_info.value) == (
+        "sweep point z2_p0.5_upvote_linear: u_max=10 cannot cover u up to 30 for kind upvote")
 
 
 def test_sweep_requires_improved_base():
@@ -428,17 +430,13 @@ def test_sweep_rejects_empty_lists():
 
 
 def test_sweep_point_error_keeps_its_type_and_field():
-    bad = SweepSpec(
-        base=GridSpec(2, 2, Maxima(10, 10, 10), ImprovedScorer(ScoringConfig()), 1),
-        z_values=(2.0,),
-        p_values=(0.5, 2.0),
-        kinds=(SiKind.WHOLE,),
-        transforms=(LINEAR,),
-    )
-    results = []
     with pytest.raises(ConfigError) as exc_info:
-        for item in sweep(bad):
-            results.append(item)
-    assert len(results) == 1
+        SweepSpec(
+            base=GridSpec(2, 2, Maxima(10, 10, 10), ImprovedScorer(ScoringConfig()), 1),
+            z_values=(2.0,),
+            p_values=(0.5, 2.0),
+            kinds=(SiKind.WHOLE,),
+            transforms=(LINEAR,),
+        )
     assert exc_info.value.field == "p_weight"
     assert str(exc_info.value).startswith("sweep point z2_p2_whole_linear: p_weight: ")

@@ -9,6 +9,7 @@ from spotrank.scoring import (
     Bound,
     ConfigError,
     EXP,
+    InconsistentMaximaError,
     LINEAR,
     LOG10,
     Maxima,
@@ -18,6 +19,7 @@ from spotrank.scoring import (
     VoteTally,
     WholeSiVariant,
     average_rating,
+    check_coverage,
     combined_range,
     combined_score,
     effective_maxima,
@@ -285,6 +287,44 @@ def test_si_stays_in_range(case, kind, transform, variant):
     lo, hi = si_range(kind, transform)
     si = spotlight_index(tally, maxima, kind, transform, variant)
     assert lo <= si <= hi
+
+
+# --- maxima coverage ---------------------------------------------------------
+
+
+@given(case=consistent_cases, kind=st.sampled_from(ALL_KINDS))
+def test_consistent_maxima_cover_their_tally(case, kind):
+    tally, maxima = case
+    check_coverage(kind, maxima, tally.up, tally.down)
+
+
+# with maxima (10, 7, 8): the largest tally each kind's maximum covers, and
+# one vote more; a maximum the kind does not divide by is never checked
+@pytest.mark.parametrize("kind,fits,fails,field,message", [
+    (SiKind.WHOLE, (6, 4), (6, 5), "n_max", "n_max=10 cannot cover u+d up to 11 for kind whole"),
+    (SiKind.NET, (10, 0), (0, 11), "n_max", "n_max=10 cannot cover u+d up to 11 for kind net"),
+    (SiKind.POSITIVE, (0, 10), (1, 10), "n_max",
+     "n_max=10 cannot cover u+d up to 11 for kind positive"),
+    (SiKind.NEGATIVE, (5, 5), (5, 6), "n_max",
+     "n_max=10 cannot cover u+d up to 11 for kind negative"),
+    (SiKind.UPVOTE, (7, 100), (8, 0), "u_max", "u_max=7 cannot cover u up to 8 for kind upvote"),
+    (SiKind.DOWNVOTE, (100, 8), (0, 9), "d_max",
+     "d_max=8 cannot cover d up to 9 for kind downvote"),
+])
+def test_coverage_rule_per_kind(kind, fits, fails, field, message):
+    maxima = Maxima(10, 7, 8)
+    check_coverage(kind, maxima, *fits)
+    with pytest.raises(InconsistentMaximaError) as exc_info:
+        check_coverage(kind, maxima, *fails)
+    assert (exc_info.value.field, str(exc_info.value)) == (field, message)
+
+
+def test_grids_and_the_package_reexport_the_coverage_error():
+    import spotrank
+    from spotrank import grids
+
+    assert spotrank.InconsistentMaximaError is grids.InconsistentMaximaError
+    assert grids.InconsistentMaximaError is InconsistentMaximaError
 
 
 @given(
