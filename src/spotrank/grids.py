@@ -10,6 +10,9 @@ evaluated once per distinct count, then gathered.
 
 Output is data, not images: long-format CSV with a ``u,d,score`` header and
 ``#`` metadata comments, consumable by any plotting tool.
+
+numpy is imported by the functions that build arrays, not at module level,
+so importing this module (and the package) does not load it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 from typing import Iterator, TextIO, Union
-
-import numpy as np
 
 from .scoring import (
     Bound,
@@ -71,7 +72,7 @@ class GridSpec:
 
     ``u_max_grid``/``d_max_grid`` are inclusive axis tops; cells are every
     ``step`` votes.  ``maxima`` must cover the whole grid for the scorer's
-    kind (checked by :func:`grid_scores`).
+    kind, that is its :attr:`last_cell` (checked by :func:`grid_scores`).
     """
 
     u_max_grid: int
@@ -85,6 +86,12 @@ class GridSpec:
             raise ValueError("axis bounds must be non-negative")
         if self.step < 1:
             raise ValueError("step must be >= 1")
+
+    @property
+    def last_cell(self) -> tuple[int, int]:
+        """The largest (u, d) cell: each axis top rounded down to a multiple of ``step``."""
+        return (self.u_max_grid - self.u_max_grid % self.step,
+                self.d_max_grid - self.d_max_grid % self.step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,17 +152,21 @@ class SweepSpec:
             for point in configs:
                 validate_config(point.config(base.scorer.config))
             for point in [replace(configs[0], kind=kind) for kind in self.kinds]:
-                check_coverage(point.kind, base.maxima, base.u_max_grid, base.d_max_grid)
+                check_coverage(point.kind, base.maxima, *base.last_cell)
         except (ConfigError, InconsistentMaximaError) as exc:
             exc.args = (f"sweep point {point.slug()}: {exc}",)  # type and field kept
             raise
 
 
 def _average_grid(U: np.ndarray, D: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return U / np.maximum(U + D, 1.0)  # 0/1 at the unvoted origin
 
 
 def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> np.ndarray:
+    import numpy as np
+
     N = U + D
     p, lower, upper = _wilson_roots(U, np.maximum(N, 1.0), z, np.sqrt)
     if bound is Bound.LOWER:
@@ -164,6 +175,8 @@ def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> 
 
 
 def _si_grid(rows: int, cols: int, step: int, maxima: Maxima, config: ScoringConfig) -> np.ndarray:
+    import numpy as np
+
     # every count is a multiple of step, so the scalar kernel runs once per
     # distinct multiple and the cells gather from that table
     transform = config.si_transform
@@ -207,8 +220,10 @@ def _metadata(spec: GridSpec) -> dict[str, str]:
 
 def grid_scores(spec: GridSpec) -> ScoreGrid:
     """Evaluate the scorer over every (u, d) cell of the spec."""
+    import numpy as np
+
     if isinstance(spec.scorer, ImprovedScorer):
-        check_coverage(spec.scorer.config.si_kind, spec.maxima, spec.u_max_grid, spec.d_max_grid)
+        check_coverage(spec.scorer.config.si_kind, spec.maxima, *spec.last_cell)
     u_values = np.arange(0, spec.u_max_grid + 1, spec.step, dtype=np.int64)
     d_values = np.arange(0, spec.d_max_grid + 1, spec.step, dtype=np.int64)
     U = u_values.astype(np.float64)[:, None]
@@ -271,6 +286,8 @@ def load_csv(source: Union[str, Path, TextIO]) -> ScoreGrid:
 
 
 def _read_csv(fh: TextIO) -> ScoreGrid:
+    import numpy as np
+
     metadata: dict[str, str] = {}
     rows: list[tuple[int, int, float]] = []
     header_seen = False

@@ -14,7 +14,9 @@ which ``uint64`` arrays do exactly; the top 53 bits times ``2**-53`` is an
 exact float; and ``searchsorted(..., side="right")`` on the running weight
 sums is the same search as ``bisect_right``.  Between two snapshots the
 votes only add up, so :func:`simulate` applies each answer's window total as
-one delta, in the order the answers first appear.
+one delta, in the order the answers first appear.  numpy is imported by the
+functions that draw and apply the columns, so importing this module does not
+load it.
 
 Stability is quantified with Kendall tau-a over adjacent ranking snapshots
 (rankings are strict total orders after tie-breaking, so no tie handling is
@@ -28,8 +30,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .scoring import ScoringConfig, validate_config
 from .state import QuestionState, RankedList, VoteEvent
 
@@ -41,13 +41,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 # events per draw: two uniforms each, so memory stays at a few blocks of
 # 2 * _DRAW_BLOCK words whatever the stream length
 _DRAW_BLOCK = 1 << 15
-
-# uint64 operands throughout, so NumPy 1.x value-based casting and NumPy 2
-# promotion both keep every operation in wrapping uint64 arithmetic
-_U64_GAMMA = np.uint64(_GAMMA)
-_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_U64_MIX2 = np.uint64(0x94D049BB133111EB)
-_U64_30, _U64_27, _U64_31, _U64_11 = (np.uint64(k) for k in (30, 27, 31, 11))
 
 
 class SplitMix64:
@@ -139,15 +132,21 @@ class StabilityReport:
 
 def _splitmix64_floats(state: int, count: int) -> np.ndarray:
     """The next ``count`` :meth:`SplitMix64.next_float` values after ``state``."""
+    import numpy as np
+
+    # uint64 operands throughout, so NumPy 1.x value-based casting and NumPy 2
+    # promotion both keep every operation in wrapping uint64 arithmetic
+    gamma, mix1, mix2 = (np.uint64(k) for k in (_GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+    s30, s27, s31, s11 = (np.uint64(k) for k in (30, 27, 31, 11))
     z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= _U64_GAMMA
+    z *= gamma
     z += np.uint64(state)
-    z ^= z >> _U64_30
-    z *= _U64_MIX1
-    z ^= z >> _U64_27
-    z *= _U64_MIX2
-    z ^= z >> _U64_31
-    z >>= _U64_11
+    z ^= z >> s30
+    z *= mix1
+    z ^= z >> s27
+    z *= mix2
+    z ^= z >> s31
+    z >>= s11
     return z.astype(np.float64) * 2.0**-53
 
 
@@ -155,6 +154,8 @@ def _stream_blocks(spec: StreamSpec, cut_every: int) -> Iterator[tuple[np.ndarra
     """The event stream as blocks of (profile index, is-up vote) columns, of
     at most ``_DRAW_BLOCK`` events; a block also ends after every multiple of
     ``cut_every`` events."""
+    import numpy as np
+
     profiles = spec.profiles
     weights = [p.arrival_weight for p in profiles]
     # sum() is not bounds[-1]: from Python 3.12 it adds floats with
@@ -192,6 +193,8 @@ def _apply_window(state: QuestionState, ids: list[str], picks: np.ndarray,
     """Apply a run of single-vote events as one delta per answer, in the
     order the answers first appear, so new answers are created in stream
     order."""
+    import numpy as np
+
     up = np.bincount(picks[is_up], minlength=len(ids))
     down = np.bincount(picks[~is_up], minlength=len(ids))
     touched, first = np.unique(picks, return_index=True)

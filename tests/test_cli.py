@@ -817,6 +817,18 @@ def test_grid_defaults_match_standard_setup(capsys):
     assert meta["scorer"] == "improved"
 
 
+def test_grid_coverage_is_checked_at_the_last_cell(capsys):
+    # step 7 on a range of 10 has its last cell at (7, 7), u + d = 14
+    rc, out, err = run(capsys, "grid", "--u-range", "10", "--d-range", "10", "--step", "7",
+                       "--n-max", "14")
+    assert (rc, err) == (0, "")
+    assert run(capsys, "grid", "--u-range", "7", "--d-range", "7", "--step", "7",
+               "--n-max", "14") == (0, out, "")
+    assert grid_data_lines(out)[-1].startswith("7,7,")
+    assert run(capsys, "grid", "--u-range", "10", "--d-range", "10", "--step", "7",
+               "--n-max", "13") == (2, "", "error: n_max=13 cannot cover u+d up to 14 for kind whole\n")
+
+
 def test_grid_writes_file(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     rc, out, _ = run(capsys, "grid", "--u-range", "10", "--d-range", "10",
@@ -1300,6 +1312,40 @@ def test_module_entry_point_runs():
     assert "combined 0.714286" in result.stdout
 
 
+# run in a fresh interpreter: imports the package, runs the three commands
+# that use no arrays, then checks every name the package imports
+_COLD_START = """
+import ast, inspect, json, sys
+import spotrank
+from spotrank import cli
+
+tallies, events, report = sys.argv[1:]
+codes = [cli.main(argv) for argv in (["score", "--up", "3", "--down", "1"],
+                                      ["rank", tallies], ["replay", events])]
+tree = ast.parse(open(spotrank.__file__, encoding="utf-8").read())
+unresolved = [f"{node.module}.{alias.name}" for node in tree.body
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if getattr(spotrank, alias.name, None)
+              is not getattr(sys.modules[f"spotrank.{node.module}"], alias.name)]
+with open(report, "w", encoding="utf-8") as fh:
+    json.dump({"codes": codes, "numpy_loaded": "numpy" in sys.modules, "unresolved": unresolved,
+               "simulate_is_function": inspect.isfunction(spotrank.simulate)}, fh)
+"""
+
+
+def test_score_rank_and_replay_start_without_numpy(tmp_path):
+    tallies, events, report = tmp_path / "tallies.jsonl", tmp_path / "events.jsonl", tmp_path / "r.json"
+    write_jsonl(tallies, [{"answer_id": "a", "up": 3, "down": 1}, {"answer_id": "b", "up": 0, "down": 2}])
+    write_jsonl(events, [{"question_id": "q", "answer_id": "a", "up_delta": 1, "down_delta": 0, "ts": 1}])
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tallies), str(events), str(report)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(report.read_text(encoding="utf-8")) == {
+        "codes": [0, 0, 0], "numpy_loaded": False, "unresolved": [], "simulate_is_function": True}
+
+
 @pytest.mark.parametrize("content,reason", [
     ("[" * 200_000, "maximum recursion depth exceeded"),
     ('{"z": ' + "9" * 5000 + "}", "digits"),
@@ -1572,7 +1618,9 @@ def test_score_exits_0_in_range_or_2_naming_the_maximum_below_the_tally(
                     SiKind.DOWNVOTE: ("d-max", down)}.get(kind, ("n-max", up + down))
     maxima = {name: data.draw(_ANY_MAXIMUM, label=name) for name in ("n-max", "u-max", "d-max")}
     if covers:
-        maxima[flag] = data.draw(st.none() | st.integers(needed, 2**63 - 1), label=flag)
+        # the flags are int64, so only the default covers up + down = 2**63
+        explicit = st.integers(needed, 2**63 - 1) if needed < 2**63 else st.nothing()
+        maxima[flag] = data.draw(st.none() | explicit, label=flag)
     else:
         assume(needed > floor)
         maxima[flag] = data.draw(st.integers(-(2**63), needed - 1), label=flag)

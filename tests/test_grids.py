@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,6 +227,21 @@ def test_downvote_kind_checks_d_max():
     spec = GridSpec(100, 100, maxima, ImprovedScorer(ScoringConfig(si_kind=SiKind.DOWNVOTE)), 1)
     with pytest.raises(InconsistentMaximaError):
         grid_scores(spec)
+
+
+def test_coverage_is_checked_at_the_last_cell_not_the_axis_tops():
+    # step 7 on ranges 10 and 9: the last cell is (7, 7), so n_max 14 covers it
+    spec = GridSpec(10, 9, Maxima(14, 14, 14), ImprovedScorer(ScoringConfig()), 7)
+    assert spec.last_cell == (7, 7)
+    assert grid_scores(spec).u_values.tolist() == [0, 7]
+    SweepSpec(base=spec, z_values=(2.0,), p_values=(0.5,), kinds=tuple(SiKind),
+              transforms=(LINEAR,))
+    short = replace(spec, maxima=Maxima(13, 6, 6))
+    with pytest.raises(InconsistentMaximaError, match="n_max=13 cannot cover u\\+d up to 14"):
+        grid_scores(short)
+    with pytest.raises(InconsistentMaximaError, match="u_max=6 cannot cover u up to 7"):
+        SweepSpec(base=short, z_values=(2.0,), p_values=(0.5,), kinds=(SiKind.UPVOTE,),
+                  transforms=(LINEAR,))
 
 
 def test_baselines_need_no_maxima_coverage():
