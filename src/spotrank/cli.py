@@ -34,9 +34,9 @@ from .grids import (
     ImprovedScorer,
     SweepSpec,
     WilsonScorer,
+    check_row_fits,
     emit_csv,
-    grid_scores,
-    sweep,
+    grid_scores,  # not called here; bench/tracer.py wraps it under this name
 )
 from .scoring import (
     Bound,
@@ -618,28 +618,28 @@ def _build_grid_spec(opts: dict[str, Any]) -> GridSpec:
 
 
 def _too_large(spec: GridSpec) -> CliError:
-    rows = spec.u_max_grid // spec.step + 1
-    cols = spec.d_max_grid // spec.step + 1
-    return CliError(f"a grid of {rows} x {cols} cells does not fit in memory")
+    return CliError(f"a grid row of {spec.shape[1]} cells does not fit in memory")
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     opts = _flag_values(args)
     spec = _build_grid_spec(opts)
+    out = opts["out"]
+    # emit_csv checks the spec and computes the first block before the first
+    # byte, so a refused grid leaves stdout empty and --out untouched
     try:
-        grid = grid_scores(spec)
+        if out is None:
+            emit_csv(spec, sys.stdout)
+            return 0
+        with _staged_outputs() as stage:
+            emit_csv(spec, stage(out))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except MemoryError as exc:
         raise _too_large(spec) from exc
-    out = opts["out"]
-    if out is None:
-        emit_csv(grid, sys.stdout)
-        return 0
-    try:
-        with _staged_outputs() as stage:
-            emit_csv(grid, stage(out))
     except OSError as exc:
+        if out is None:
+            raise  # main reports the closed stdout
         raise CliError(f"cannot write {out}: {exc}") from exc
     return 0
 
@@ -669,11 +669,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(opts["out-dir"])
     paths: list[Path] = []
     try:
+        check_row_fits(base)  # every point has the base's rows
         out_dir.mkdir(parents=True, exist_ok=True)
         with _staged_outputs() as stage:
-            for point, grid in sweep(spec):
+            for point, grid_spec in spec.points():
                 path = out_dir / f"grid_{point.slug()}.csv"
-                emit_csv(grid, stage(path))
+                emit_csv(grid_spec, stage(path))
                 paths.append(path)
             for path in paths:
                 print(path)

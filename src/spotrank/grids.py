@@ -8,6 +8,13 @@ below ``2**53``, the float64 limit: the Wilson bound runs that kernel's
 arithmetic on numpy columns, and the spotlight index is the scalar function
 evaluated once per distinct count, then gathered.
 
+A grid is evaluated in blocks of whole rows, at most ``_BLOCK_CELLS`` cells
+each (always at least one row): the d axis and the spotlight table are built
+once per grid, the Wilson and blend arithmetic runs per block.  Every cell is
+elementwise, so the blocks give the bits of a whole-grid evaluation, and
+:func:`emit_csv` writes each block as it is computed, so memory stays at one
+block whatever the grid's size.
+
 Output is data, not images: long-format CSV with a ``u,d,score`` header and
 ``#`` metadata comments, consumable by any plotting tool.
 
@@ -17,8 +24,9 @@ so importing this module (and the package) does not load it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterator, TextIO, Union
 
@@ -37,6 +45,12 @@ from .scoring import (
     check_coverage,
     validate_config,
 )
+
+# cells per block: a block's float64 temporaries stay small, and numpy's
+# per-call cost is shared by thousands of cells
+_BLOCK_CELLS = 8192
+# numpy refuses (with a ValueError) an array of more bytes than sys.maxsize
+_MAX_ROW_CELLS = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -72,7 +86,8 @@ class GridSpec:
 
     ``u_max_grid``/``d_max_grid`` are inclusive axis tops; cells are every
     ``step`` votes.  ``maxima`` must cover the whole grid for the scorer's
-    kind, that is its :attr:`last_cell` (checked by :func:`grid_scores`).
+    kind, that is its :attr:`last_cell` (checked by :func:`grid_scores` and
+    :func:`emit_csv`).
     """
 
     u_max_grid: int
@@ -86,6 +101,11 @@ class GridSpec:
             raise ValueError("axis bounds must be non-negative")
         if self.step < 1:
             raise ValueError("step must be >= 1")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, cols): the number of u values and of d values."""
+        return self.u_max_grid // self.step + 1, self.d_max_grid // self.step + 1
 
     @property
     def last_cell(self) -> tuple[int, int]:
@@ -157,6 +177,14 @@ class SweepSpec:
             exc.args = (f"sweep point {point.slug()}: {exc}",)  # type and field kept
             raise
 
+    def points(self) -> Iterator[tuple[SweepPoint, GridSpec]]:
+        """Each point and its grid's spec, in z-outer, then P, kind, transform order."""
+        base = self.base
+        base_config = base.scorer.config  # type: ignore[union-attr]
+        for values in product(self.z_values, self.p_values, self.kinds, self.transforms):
+            point = SweepPoint(*values)
+            yield point, replace(base, scorer=ImprovedScorer(point.config(base_config)))
+
 
 def _average_grid(U: np.ndarray, D: np.ndarray) -> np.ndarray:
     import numpy as np
@@ -172,22 +200,6 @@ def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> 
     if bound is Bound.LOWER:
         return np.where(N > 0, np.maximum(0.0, np.minimum(lower, p)), 0.0)
     return np.where(N > 0, np.minimum(1.0, np.maximum(upper, p)), 1.0)
-
-
-def _si_grid(rows: int, cols: int, step: int, maxima: Maxima, config: ScoringConfig) -> np.ndarray:
-    import numpy as np
-
-    # every count is a multiple of step, so the scalar kernel runs once per
-    # distinct multiple and the cells gather from that table
-    transform = config.si_transform
-    index, top, negate, variant = _si_parts(
-        np.arange(rows)[:, None], np.arange(cols)[None, :], maxima, config.si_kind, transform,
-        config.whole_variant,
-    )
-    lo, hi = int(index.min()), int(index.max())
-    table = np.array([_si_of_count(k * step, top, transform, variant) for k in range(lo, hi + 1)])
-    si = table[index - lo]
-    return np.negative(si, out=si, where=negate)
 
 
 def _metadata(spec: GridSpec) -> dict[str, str]:
@@ -218,63 +230,122 @@ def _metadata(spec: GridSpec) -> dict[str, str]:
     return meta
 
 
+def check_row_fits(spec: GridSpec) -> None:
+    """Raise :class:`MemoryError` if one row of ``spec`` holds more float64
+    cells than an array can address; a block is never less than one row."""
+    cols = spec.shape[1]
+    if cols > _MAX_ROW_CELLS:
+        raise MemoryError(f"a grid row of {cols} cells does not fit in memory")
+
+
+def _row_blocks(spec: GridSpec) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """``d_values`` and the grid's ``(u_values, scores)`` blocks, in u order.
+
+    The spec is checked, and the d axis and the spotlight table are built,
+    when this is called; the blocks are computed as they are drawn.
+    """
+    import numpy as np
+
+    scorer = spec.scorer
+    if isinstance(scorer, ImprovedScorer):
+        check_coverage(scorer.config.si_kind, spec.maxima, *spec.last_cell)
+        config = validate_config(scorer.config)
+    check_row_fits(spec)
+    rows, cols = spec.shape
+    step = spec.step
+    d_values = np.arange(0, spec.d_max_grid + 1, step, dtype=np.int64)
+    D = d_values.astype(np.float64)[None, :]
+    per_block = max(1, _BLOCK_CELLS // cols)
+
+    if isinstance(scorer, ImprovedScorer):
+        # every count is a multiple of step, so the scalar kernel runs once
+        # per distinct multiple and the cells gather from that table
+        transform = config.si_transform
+
+        def si_parts(i: np.ndarray, j: np.ndarray):
+            return _si_parts(i, j, spec.maxima, config.si_kind, transform, config.whole_variant)
+
+        # each count is monotone in u and in d, or is |u - d|, least at the
+        # origin: the four corners bound the grid's counts
+        corners, top, _, variant = si_parts(np.array([0, 0, rows - 1, rows - 1]),
+                                            np.array([0, cols - 1, 0, cols - 1]))
+        lo, hi = int(corners.min()), int(corners.max())
+        table = np.fromiter((_si_of_count(k * step, top, transform, variant)
+                             for k in range(lo, hi + 1)), np.float64, hi - lo + 1)
+        j = np.arange(cols)[None, :]
+
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start in range(0, rows, per_block):
+            i = np.arange(start, min(start + per_block, rows))
+            u_values = i * np.int64(step)
+            U = u_values.astype(np.float64)[:, None]
+            if isinstance(scorer, AverageRatingScorer):
+                scores = _average_grid(U, D)
+            elif isinstance(scorer, WilsonScorer):
+                scores = _wilson_bound_grid(U, D, scorer.z, scorer.bound)
+            else:
+                w = _wilson_bound_grid(U, D, config.z, config.bound)
+                count, _, negate, _ = si_parts(i[:, None], j)
+                si = table[count - lo]
+                np.negative(si, out=si, where=negate)
+                scores = config.p_weight * w + (1.0 - config.p_weight) * si
+            yield u_values, scores
+
+    return d_values, blocks()
+
+
 def grid_scores(spec: GridSpec) -> ScoreGrid:
     """Evaluate the scorer over every (u, d) cell of the spec."""
     import numpy as np
 
-    if isinstance(spec.scorer, ImprovedScorer):
-        check_coverage(spec.scorer.config.si_kind, spec.maxima, *spec.last_cell)
-    u_values = np.arange(0, spec.u_max_grid + 1, spec.step, dtype=np.int64)
-    d_values = np.arange(0, spec.d_max_grid + 1, spec.step, dtype=np.int64)
-    U = u_values.astype(np.float64)[:, None]
-    D = d_values.astype(np.float64)[None, :]
-
-    scorer = spec.scorer
-    if isinstance(scorer, AverageRatingScorer):
-        scores = _average_grid(U, D)
-    elif isinstance(scorer, WilsonScorer):
-        scores = _wilson_bound_grid(U, D, scorer.z, scorer.bound)
-    else:
-        config = validate_config(scorer.config)
-        w = _wilson_bound_grid(U, D, config.z, config.bound)
-        si = _si_grid(len(u_values), len(d_values), spec.step, spec.maxima, config)
-        scores = config.p_weight * w + (1.0 - config.p_weight) * si
-    return ScoreGrid(u_values, d_values, scores, _metadata(spec))
+    d_values, blocks = _row_blocks(spec)
+    u_parts, score_parts = zip(*blocks)
+    return ScoreGrid(np.concatenate(u_parts), d_values, np.concatenate(score_parts),
+                     _metadata(spec))
 
 
 def sweep(spec: SweepSpec) -> Iterator[tuple[SweepPoint, ScoreGrid]]:
-    """One grid per parameter tuple, in z-outer, then P, kind, transform order."""
-    base = spec.base
-    base_config = base.scorer.config  # type: ignore[union-attr]
-    for values in product(spec.z_values, spec.p_values, spec.kinds, spec.transforms):
-        point = SweepPoint(*values)
-        yield point, grid_scores(replace(base, scorer=ImprovedScorer(point.config(base_config))))
+    """One grid per parameter tuple, in the order of :meth:`SweepSpec.points`."""
+    for point, grid_spec in spec.points():
+        yield point, grid_scores(grid_spec)
 
 
-def emit_csv(grid: ScoreGrid, destination: Union[str, Path, TextIO]) -> None:
+def emit_csv(grid: Union[ScoreGrid, GridSpec], destination: Union[str, Path, TextIO]) -> None:
     """Write the grid as long-format CSV: ``#`` metadata, ``u,d,score`` header.
 
     Rows are u-major then d; scores carry 12 significant digits, which
-    round-trips doubles at these magnitudes.  LF endings, UTF-8.
+    round-trips doubles at these magnitudes.  LF endings, UTF-8.  A
+    :class:`GridSpec` is evaluated block by block, each block written as it
+    is computed; its checks and first block come before the first byte.
+    A :class:`ScoreGrid` is written as one block.
     """
+    if isinstance(grid, GridSpec):
+        metadata = _metadata(grid)
+        d_values, blocks = _row_blocks(grid)
+    else:
+        metadata, d_values = grid.metadata, grid.d_values
+        blocks = iter([(grid.u_values, grid.scores)])
+    blocks = chain([next(blocks)], blocks)  # computed before the file is opened
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            _write_csv(grid, fh)
+            _write_csv(metadata, d_values, blocks, fh)
     else:
-        _write_csv(grid, destination)
+        _write_csv(metadata, d_values, blocks, destination)
 
 
-def _write_csv(grid: ScoreGrid, fh: TextIO) -> None:
-    for key, value in grid.metadata.items():
+def _write_csv(metadata: dict[str, str], d_values: np.ndarray,
+               blocks: Iterator[tuple[np.ndarray, np.ndarray]], fh: TextIO) -> None:
+    for key, value in metadata.items():
         fh.write(f"# {key}: {value}\n")
     fh.write("u,d,score\n")
     # One %-template per row formats every cell in a single C-level call;
     # "%.12g" renders floats exactly as format(s, ".12g") does.  Rows are
     # written one at a time so memory stays at one row of text.
-    cells = [f"{d},%.12g\n" for d in grid.d_values.tolist()]
-    for i, u in enumerate(grid.u_values.tolist()):
-        prefix = f"{u},"
-        fh.write((prefix + prefix.join(cells)) % tuple(grid.scores[i].tolist()))
+    cells = [f"{d},%.12g\n" for d in d_values.tolist()]
+    for u_values, scores in blocks:
+        for u, row in zip(u_values.tolist(), scores):
+            prefix = f"{u},"
+            fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
 
 
 def load_csv(source: Union[str, Path, TextIO]) -> ScoreGrid:

@@ -911,16 +911,76 @@ def _out_of_memory(*args):
 @pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])
 def test_grid_too_large_for_memory_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                                to_file):
-    # the grid's first full-size array is never allocated: the Wilson bound
-    # raises as numpy does when it cannot allocate
+    # the first block is never allocated: the Wilson bound raises as numpy
+    # does when it cannot allocate
     monkeypatch.setattr(importlib.import_module("spotrank.grids"), "_wilson_bound_grid",
                         _out_of_memory)
     out = tmp_path / "grid.csv"
     rc, stdout, err = run(capsys, "grid", "--u-range", "100000", "--d-range", "100000",
                           "--n-max", "200000", *(["--out", str(out)] if to_file else []))
     assert (rc, stdout) == (2, "")
-    assert err == "error: a grid of 100001 x 100001 cells does not fit in memory\n"
+    assert err == "error: a grid row of 100001 cells does not fit in memory\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# a row of 2**62 + 1 float64 cells is more bytes than an address can count:
+# numpy refuses it without trying to allocate
+_ROW_TOO_LARGE = ["--u-range", "2", "--d-range", str(2**62), "--n-max", str(2**63 - 1)]
+_ROW_TOO_LARGE_ERR = f"error: a grid row of {2**62 + 1} cells does not fit in memory\n"
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])
+def test_grid_row_beyond_the_address_space_exits_2_with_one_error_line(tmp_path, capsys,
+                                                                       to_file):
+    out = tmp_path / "grid.csv"
+    rc, stdout, err = run(capsys, "grid", *_ROW_TOO_LARGE,
+                          *(["--out", str(out)] if to_file else []))
+    assert (rc, stdout, err) == (2, "", _ROW_TOO_LARGE_ERR)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_memory_stays_at_one_block(tmp_path):
+    # the whole-grid evaluation held about eight float64 arrays over all
+    # 1001 x 1001 cells, at least 64 MB; one block and one row of text is
+    # well under 8 MiB
+    import tracemalloc
+
+    main(["grid", "--u-range", "0", "--d-range", "0", "--n-max", "10",
+          "--out", str(tmp_path / "warm.csv")])  # numpy and its caches load untraced
+    tracemalloc.start()
+    try:
+        rc = main(["grid", "--u-range", "1000", "--d-range", "1000", "--n-max", "2000",
+                   "--out", str(tmp_path / "grid.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+# Reaps its argv as a child and prints the child's own peak RSS in KiB.  It
+# runs as its own small process because Linux charges a child's ru_maxrss
+# with the resident size of the process that forked it, here pytest's.
+_PEAK_RSS_KIB = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "sys.exit(os.waitstatus_to_exitcode(status) or print(usage.ru_maxrss))\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_grid_child_peak_rss_stays_under_60_mb(tmp_path):
+    # the whole-grid evaluation peaked at about 274 MB on this grid
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_KIB, sys.executable, "-m", "spotrank", "grid",
+         "--u-range", "2000", "--d-range", "2000", "--n-max", "5000",
+         "--out", str(tmp_path / "grid.csv")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    peak_mb = int(result.stdout) / 1024
+    assert peak_mb < 60, f"peak RSS {peak_mb:.1f} MB"
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -950,14 +1010,15 @@ def test_sweep_default_lists_make_twenty_files(tmp_path, capsys):
     # the whole kind fits; its grid is not built before upvote fails
     (["--kinds", "whole,upvote", "--u-max", "1"],
      "error: sweep point z0_p0_upvote_linear: u_max=1 cannot cover u up to 2 for kind upvote\n"),
-], ids=["p", "z", "first-in-sweep-order", "poly-a", "coverage"])
+    (_ROW_TOO_LARGE, _ROW_TOO_LARGE_ERR),
+], ids=["p", "z", "first-in-sweep-order", "poly-a", "coverage", "row-too-large"])
 def test_sweep_checks_every_point_before_any_grid(tmp_path, capsys, monkeypatch, flags,
                                                   expected_err):
     grids_module = importlib.import_module("spotrank.grids")
     calls = []
-    grid_scores = grids_module.grid_scores
-    monkeypatch.setattr(grids_module, "grid_scores",
-                        lambda spec: calls.append(spec) or grid_scores(spec))
+    row_blocks = grids_module._row_blocks
+    monkeypatch.setattr(grids_module, "_row_blocks",
+                        lambda spec: calls.append(spec) or row_blocks(spec))
     out_dir = tmp_path / "grids"
     rc, out, err = run(capsys, "sweep", "--u-range", "2", "--d-range", "2", "--n-max", "10",
                        "--out-dir", str(out_dir), *flags)
@@ -1059,7 +1120,7 @@ def test_sweep_grid_too_large_for_memory_exits_2_and_removes_partial_outputs(
     rc, out, err = run(capsys, "sweep", "--u-range", "2", "--d-range", "2", "--n-max", "4",
                        "--z-values", "1", "--p-values", "0,1", "--out-dir", str(out_dir))
     assert (rc, out) == (2, "")
-    assert err == "error: a grid of 3 x 3 cells does not fit in memory\n"
+    assert err == "error: a grid row of 3 cells does not fit in memory\n"
     assert len(calls) == 2
     assert list(out_dir.iterdir()) == []  # the first grid's file was rolled back
 

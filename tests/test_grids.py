@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import write_csv_reference
 from spotrank.grids import (
+    _BLOCK_CELLS,
     AverageRatingScorer,
     GridSpec,
     ImprovedScorer,
@@ -348,6 +350,62 @@ def test_csv_bytes_match_reference_on_special_values():
     emit_csv(grid, actual)
     assert actual.getvalue() == expected.getvalue()
     assert "0,0,-0\n" in actual.getvalue() and "0,10,nan\n" in actual.getvalue()
+
+
+_TRANSFORMS = st.sampled_from([LINEAR, LOG10, EXP]) | st.sampled_from([0.5, 2.5]).map(poly)
+_SCORERS = st.one_of(
+    st.builds(WilsonScorer, st.sampled_from([0.0, 1.96, 5.0]), st.sampled_from(list(Bound))),
+    st.just(AverageRatingScorer()),
+    st.builds(ImprovedScorer, st.builds(
+        ScoringConfig, z=st.sampled_from([0.0, 1.96]), p_weight=st.sampled_from([0.0, 0.37, 1.0]),
+        si_kind=st.sampled_from(list(SiKind)), si_transform=_TRANSFORMS,
+        bound=st.sampled_from(list(Bound)), whole_variant=st.sampled_from(list(WholeSiVariant)),
+    )),
+)
+
+
+def _axis(data, label, cells, step):
+    """An axis top giving ``cells`` values, rounded up by less than ``step``."""
+    return (cells - 1) * step + data.draw(st.integers(0, step - 1), label=f"{label} slack")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), scorer=_SCORERS,
+       step=st.sampled_from([1, 2, 3, 7]) | st.integers(1, 60))
+def test_streamed_csv_bytes_equal_the_whole_grid_csv(data, scorer, step):
+    # rows and columns on both sides of a block edge: one row, one column,
+    # rows straddling the per-block row count, and rows wider than a block
+    cols = data.draw(st.sampled_from([1, 2, _BLOCK_CELLS, _BLOCK_CELLS + 1])
+                     | st.integers(1, 300), label="cols")
+    per_block = max(1, _BLOCK_CELLS // cols)
+    rows = data.draw(st.sampled_from([1, per_block, per_block + 1, 2 * per_block - 1])
+                     | st.integers(1, min(3 * per_block, 700)), label="rows")
+    u_range, d_range = _axis(data, "u", rows, step), _axis(data, "d", cols, step)
+    last_u, last_d = (rows - 1) * step, (cols - 1) * step
+    extra = st.integers(0, 3 * step)
+    maxima = Maxima(last_u + last_d + data.draw(extra, label="n_max extra") + 1,
+                    last_u + data.draw(extra, label="u_max extra") + 1,
+                    last_d + data.draw(extra, label="d_max extra") + 1)
+    spec = GridSpec(u_range, d_range, maxima, scorer, step)
+    assert spec.shape == (rows, cols)
+    streamed, whole = io.StringIO(), io.StringIO()
+    emit_csv(spec, streamed)
+    emit_csv(grid_scores(spec), whole)
+    assert streamed.getvalue() == whole.getvalue()
+
+
+def test_streamed_csv_checks_the_spec_before_the_first_byte():
+    buffer = io.StringIO()
+    with pytest.raises(InconsistentMaximaError):
+        emit_csv(improved_spec(600, 600, n_max=1000), buffer)
+    assert buffer.getvalue() == ""
+
+
+def test_grid_row_beyond_the_address_space_is_a_memory_error():
+    spec = GridSpec(2, 2**62, Maxima(2**63 - 1, 2**63 - 1, 2**63 - 1), AverageRatingScorer())
+    for evaluate in (grid_scores, lambda spec: emit_csv(spec, io.StringIO())):
+        with pytest.raises(MemoryError, match=f"a grid row of {2**62 + 1} cells"):
+            evaluate(spec)
 
 
 # --- sweep ----------------------------------------------------------------------
