@@ -22,7 +22,13 @@ def parse_args():
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--cadence", type=int, default=1000)
     parser.add_argument("--z", type=float, default=2.0)
-    return parser.parse_args()
+    args = parser.parse_args()
+    # the stability report needs two snapshots: one every --cadence events, and the last
+    if args.cadence < 1:
+        parser.error("--cadence must be positive")
+    if args.events <= args.cadence:
+        parser.error("--events must be above --cadence, for at least two snapshots")
+    return args
 
 
 def main() -> int:

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TextIO
 
 from .grids import (
     AverageRatingScorer,
@@ -452,13 +452,12 @@ def _tally_line(line_no: int, line: str, tallies: dict[str, tuple[int, int]]) ->
 
 
 def _emit_ranking(tallies: Mapping[str, tuple[int, int]], config: ScoringConfig, out: TextIO,
-                  question_id: str | None = None,
-                  raw_maxima: tuple[int, int, int] | None = None) -> None:
+                  question_id: str | None = None) -> None:
     """One JSON object per ranked answer, byte-for-byte what ``json.dumps``
     gives for the same dict, formatted without building the dict.
     ``tallies`` maps each answer id to its ``(up, down)`` in creation order."""
     ids, counts = list(tallies), list(tallies.values())
-    order, breakdowns, _ = _rank_counts(counts, config, raw_maxima)
+    order, breakdowns, _ = _rank_counts(counts, config)
     start = "{" if question_id is None else f'{{"question_id": {_json_str(question_id)}, '
     # answers with equal tallies share a breakdown, so its scores are
     # formatted once; keyed by identity, since ``breakdowns`` keeps every
@@ -568,8 +567,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         states = _replay_events(fh)
     # written only after the last line, so a bad line leaves stdout empty
     for question_id, state in states.items():
-        _emit_ranking(state._counts, config, sys.stdout, question_id=question_id,
-                      raw_maxima=(state.raw_n_max, state.raw_u_max, state.raw_d_max))
+        _emit_ranking(state._counts, config, sys.stdout, question_id=question_id)
     return 0
 
 
@@ -599,6 +597,16 @@ def _staged_outputs() -> Iterator[Callable[[str | Path], Path]]:
     finally:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
+
+
+def _check_distinct_outputs(paths: Iterable[Path]) -> None:
+    """Refuse a run two of whose outputs name one file, where the later would
+    replace the earlier; called before any work."""
+    seen: set[Path] = set()
+    for path in paths:
+        if path in seen:
+            raise CliError(f"two outputs name {path}")
+        seen.add(path)
 
 
 # --- grid / sweep -----------------------------------------------------------
@@ -667,16 +675,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     out_dir = Path(opts["out-dir"])
-    paths: list[Path] = []
+    outputs = [(out_dir / f"grid_{point.slug()}.csv", grid_spec)
+               for point, grid_spec in spec.points()]
+    _check_distinct_outputs(path for path, _ in outputs)
     try:
         check_row_fits(base)  # every point has the base's rows
         out_dir.mkdir(parents=True, exist_ok=True)
         with _staged_outputs() as stage:
-            for point, grid_spec in spec.points():
-                path = out_dir / f"grid_{point.slug()}.csv"
+            for path, grid_spec in outputs:
                 emit_csv(grid_spec, stage(path))
-                paths.append(path)
-            for path in paths:
+            for path, _ in outputs:
                 print(path)
             # flushed before any rename, so a closed stdout is seen while the
             # targets are still untouched
@@ -721,6 +729,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cadence = opts["cadence"]
     if cadence < 1:
         raise CliError("cadence: must be positive")
+    trajectory_path, report_path = opts["trajectory-out"], opts["report-out"]
+    # realpath, as Path.resolve, but without raising on a symlink loop
+    _check_distinct_outputs(Path(os.path.realpath(path)) for path in (trajectory_path, report_path))
 
     scorers = {"wilson": replace(config, p_weight=1.0), "improved": config}
     trajectory = simulate(spec, scorers, cadence)
@@ -739,7 +750,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 {"scorers": [label_a, label_b], "final_tau": _round12(tau)}
             )
 
-    trajectory_path, report_path = opts["trajectory-out"], opts["report-out"]
     try:
         with _staged_outputs() as stage:
             with open(stage(trajectory_path), "w", encoding="utf-8", newline="\n") as fh:

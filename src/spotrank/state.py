@@ -1,10 +1,11 @@
-"""Online per-question state: vote-delta ingestion, incremental maxima, ranking.
+"""Online per-question state: vote-delta ingestion and ranking.
 
 One ``QuestionState`` is a single-writer unit: callers must serialize
 ``apply_event``/``apply_delta`` per question (different questions are
 independent).  Reads go through :meth:`QuestionState.snapshot`, which is
-immutable.  The cached maxima make the common all-positive-deltas path O(1);
-a retraction that touches the current maximum holder triggers a full rescan.
+immutable.  The state holds tallies only, so applying a delta is O(1); the
+maxima are read from the tallies in O(answers) when a reader asks for them,
+as ranking and snapshots do.
 """
 
 from __future__ import annotations
@@ -150,21 +151,20 @@ def _max_counts(counts: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
 
 
 class QuestionState:
-    """All answers of one question plus cached raw vote maxima.
+    """All answers of one question, as their vote tallies.
 
     Tallies are held as plain ``(up, down)`` tuples keyed by answer id, so
     applying an event allocates no per-answer objects; the dict's insertion
     order is the creation order, which makes an answer's position its
     ``created_seq``.  :meth:`rank` reads the tuples as they are;
-    :class:`AnswerEntry` views are built only by :meth:`entries`.
+    :class:`AnswerEntry` views are built only by :meth:`entries`.  No maxima
+    are kept: ``raw_n_max``, ``raw_u_max`` and ``raw_d_max`` each scan the
+    tallies.
     """
 
     def __init__(self, question_id: str):
         self.question_id = question_id
         self._counts: dict[str, tuple[int, int]] = {}
-        self.raw_n_max = 0
-        self.raw_u_max = 0
-        self.raw_d_max = 0
         self.event_count = 0
 
     def __len__(self) -> int:
@@ -180,8 +180,8 @@ class QuestionState:
         counts = self._counts.get(answer_id)
         return VoteTally(*counts) if counts is not None else None
 
-    def apply_event(self, event: VoteEvent) -> bool:
-        """Apply one vote event; returns True iff any cached maximum changed.
+    def apply_event(self, event: VoteEvent) -> None:
+        """Apply one vote event.
 
         Events for another question raise :class:`UnknownQuestionError`; the
         rest is :meth:`apply_delta`.
@@ -190,66 +190,48 @@ class QuestionState:
             raise UnknownQuestionError(
                 f"event for question {event.question_id!r} applied to {self.question_id!r}"
             )
-        return self.apply_delta(event.answer_id, event.up_delta, event.down_delta)
+        self.apply_delta(event.answer_id, event.up_delta, event.down_delta)
 
-    def apply_delta(self, answer_id: str, up_delta: int, down_delta: int) -> bool:
-        """Add one vote delta to an answer; returns True iff any cached
-        maximum changed, which signals that every answer's spotlight index is
-        stale.
+    def apply_delta(self, answer_id: str, up_delta: int, down_delta: int) -> None:
+        """Add one vote delta to an answer.
 
         Unknown answer ids are created on first sight with a zero tally.  A
         delta that would drive a count negative raises
         :class:`NegativeCountError` and leaves the state untouched.  The
         caller checks that the delta is not zero, as :class:`VoteEvent` does.
         """
-        old_up, old_down = self._counts.get(answer_id, (0, 0))
-        new_up = old_up + up_delta
-        new_down = old_down + down_delta
-        if new_up < 0 or new_down < 0:
-            raise NegativeCountError(
-                f"event would drive answer {answer_id!r} to ({new_up}, {new_down})"
-            )
-        self._counts[answer_id] = (new_up, new_down)
+        up, down = self._counts.get(answer_id, (0, 0))
+        up += up_delta
+        down += down_delta
+        if up < 0 or down < 0:
+            raise NegativeCountError(f"event would drive answer {answer_id!r} to ({up}, {down})")
+        self._counts[answer_id] = (up, down)
         self.event_count += 1
 
-        old_n = old_up + old_down
-        new_n = new_up + new_down
-        before = (self.raw_n_max, self.raw_u_max, self.raw_d_max)
-        # a shrinking count only matters if this answer held the cached maximum
-        rescan = (
-            (new_n < old_n and old_n == self.raw_n_max)
-            or (new_up < old_up and old_up == self.raw_u_max)
-            or (new_down < old_down and old_down == self.raw_d_max)
-        )
-        if rescan:
-            self.raw_n_max, self.raw_u_max, self.raw_d_max = self.recompute_maxima()
-        else:
-            if new_n > self.raw_n_max:
-                self.raw_n_max = new_n
-            if new_up > self.raw_u_max:
-                self.raw_u_max = new_up
-            if new_down > self.raw_d_max:
-                self.raw_d_max = new_down
-        return (self.raw_n_max, self.raw_u_max, self.raw_d_max) != before
-
     def recompute_maxima(self) -> tuple[int, int, int]:
-        """Full-scan raw maxima, independent of the caches (for checks and rescans)."""
+        """Raw ``(n_max, u_max, d_max)`` over the current tallies, in one scan;
+        (0, 0, 0) when there are no answers."""
         return _max_counts(self._counts.values())
 
+    @property
+    def raw_n_max(self) -> int:
+        return self.recompute_maxima()[0]
+
+    @property
+    def raw_u_max(self) -> int:
+        return self.recompute_maxima()[1]
+
+    @property
+    def raw_d_max(self) -> int:
+        return self.recompute_maxima()[2]
+
     def rank(self, config: ScoringConfig) -> RankedList:
-        """Rank all answers under the current maxima, floored per config."""
-        order, breakdowns, maxima = _rank_counts(
-            list(self._counts.values()), config, (self.raw_n_max, self.raw_u_max, self.raw_d_max)
-        )
+        """Rank all answers under the maxima of their tallies, floored per config."""
+        order, breakdowns, maxima = _rank_counts(list(self._counts.values()), config)
         ids = list(self._counts)
         return RankedList(tuple((ids[i], breakdowns[i]) for i in order), config, maxima)
 
     def snapshot(self) -> QuestionSnapshot:
         return QuestionSnapshot(
-            self.question_id,
-            self.entries(),
-            self.raw_n_max,
-            self.raw_u_max,
-            self.raw_d_max,
-            self.event_count,
+            self.question_id, self.entries(), *self.recompute_maxima(), self.event_count
         )

@@ -50,7 +50,6 @@ from spotrank.state import (
     QuestionState,
     RankedList,
     VoteEvent,
-    scan_maxima,
 )
 
 
@@ -282,12 +281,22 @@ def kendall_tau_pairs(ranking_a, ranking_b) -> float:
     return 1.0 - 2.0 * discordant / total
 
 
+def brute_maxima(entries) -> tuple[int, int, int]:
+    """Raw ``(n_max, u_max, d_max)`` as three ``max`` calls over the entries'
+    tallies, (0, 0, 0) when there are none: the oracle for the maxima the
+    package reads from its tallies in one scan."""
+    tallies = [entry.tally for entry in entries]
+    return (max((tally.up + tally.down for tally in tallies), default=0),
+            max((tally.up for tally in tallies), default=0),
+            max((tally.down for tally in tallies), default=0))
+
+
 def rank_answers_reference(answers, config, raw_maxima=None) -> RankedList:
     """One ``combined_score`` call per answer: the oracle for
     ``state.rank_answers``."""
     entries = list(answers)
     if raw_maxima is None:
-        raw_maxima = scan_maxima(entries)
+        raw_maxima = brute_maxima(entries)
     maxima = effective_maxima(*raw_maxima, floor=config.n_max_floor)
     scored = [(entry, combined_score(entry.tally, maxima, config)) for entry in entries]
     scored.sort(key=lambda pair: (-pair[1].combined, -pair[0].tally.up, pair[0].created_seq))
@@ -341,8 +350,7 @@ def replay_reference(lines, config=ScoringConfig()) -> tuple[int, str, str]:
     out = []
     for question_id, state in states.items():
         entries = state.entries()
-        ranked = rank_answers_reference(
-            entries, config, (state.raw_n_max, state.raw_u_max, state.raw_d_max))
+        ranked = rank_answers_reference(entries, config, brute_maxima(entries))
         out.append(ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries},
                                      question_id=question_id))
     return 0, "".join(out), ""

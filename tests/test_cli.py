@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import rank_reference, ranking_reference, replay_reference
+from helpers import brute_maxima, rank_reference, ranking_reference, replay_reference
 from spotrank import cli
 from spotrank.cli import main
 from spotrank.scoring import LOG10, ScoringConfig, SiKind, SiTransform, VoteTally, si_range
@@ -591,11 +591,32 @@ def test_replay_output_bytes_match_json_dumps(tmp_path, capsys):
     expected = ""
     for question_id, state in states.items():
         entries = state.entries()
-        ranked = rank_answers(entries, ScoringConfig(),
-                              (state.raw_n_max, state.raw_u_max, state.raw_d_max))
+        ranked = rank_answers(entries, ScoringConfig(), brute_maxima(entries))
         expected += ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries},
                                       question_id=question_id)
     assert out == expected
+
+
+def test_replay_reads_each_question_maxima_once(tmp_path, capsys, monkeypatch):
+    # each question's unique maximum holder is retracted 25 times, on up and
+    # on down, while the other answer stays below it
+    events = []
+    for question_id in ("q1", "q2"):
+        events += [(question_id, "top", 50, 40), (question_id, "low", 3, 2)]
+        events += [(question_id, "top", -1, 0) if i % 2 else (question_id, "top", 0, -1)
+                   for i in range(25)]
+    path = tmp_path / "events.jsonl"
+    write_jsonl(path, [{"question_id": q, "answer_id": a, "up_delta": u, "down_delta": d, "ts": ts}
+                       for ts, (q, a, u, d) in enumerate(events)])
+    state_module = importlib.import_module("spotrank.state")
+    calls = []
+    max_counts = state_module._max_counts
+    monkeypatch.setattr(state_module, "_max_counts",
+                        lambda counts: calls.append(counts) or max_counts(counts))
+    rc, out, err = run(capsys, "replay", str(path))
+    assert (rc, err) == (0, "")
+    assert len(calls) == 2  # one read per question, at its ranking
+    assert [row["up"] for row in parse_jsonl(out)] == [38, 3, 38, 3]
 
 
 def test_replay_reports_the_first_bad_line_in_file_order(tmp_path, capsys):
@@ -1011,7 +1032,15 @@ def test_sweep_default_lists_make_twenty_files(tmp_path, capsys):
     (["--kinds", "whole,upvote", "--u-max", "1"],
      "error: sweep point z0_p0_upvote_linear: u_max=1 cannot cover u up to 2 for kind upvote\n"),
     (_ROW_TOO_LARGE, _ROW_TOO_LARGE_ERR),
-], ids=["p", "z", "first-in-sweep-order", "poly-a", "coverage", "row-too-large"])
+    # two points whose file names are equal: the slug formats values with :g
+    (["--z-values", "1", "--p-values", "0.1234561,0.1234562"],
+     "error: two outputs name {out_dir}/grid_z1_p0.123456_whole_linear.csv\n"),
+    (["--z-values", "1", "--p-values", "0.5,0.5"],
+     "error: two outputs name {out_dir}/grid_z1_p0.5_whole_linear.csv\n"),
+    (["--z-values", "1", "--p-values", "0", "--transforms", "poly,poly"],
+     "error: two outputs name {out_dir}/grid_z1_p0_whole_poly2.csv\n"),
+], ids=["p", "z", "first-in-sweep-order", "poly-a", "coverage", "row-too-large",
+        "same-slug", "same-p", "same-transform"])
 def test_sweep_checks_every_point_before_any_grid(tmp_path, capsys, monkeypatch, flags,
                                                   expected_err):
     grids_module = importlib.import_module("spotrank.grids")
@@ -1022,7 +1051,7 @@ def test_sweep_checks_every_point_before_any_grid(tmp_path, capsys, monkeypatch,
     out_dir = tmp_path / "grids"
     rc, out, err = run(capsys, "sweep", "--u-range", "2", "--d-range", "2", "--n-max", "10",
                        "--out-dir", str(out_dir), *flags)
-    assert (rc, out, err) == (2, "", expected_err)
+    assert (rc, out, err) == (2, "", expected_err.format(out_dir=out_dir))
     assert calls == []
     assert not out_dir.exists()
 
@@ -1211,6 +1240,23 @@ def test_simulate_unwritable_output_exits_2_and_leaves_no_file(tmp_path, capsys,
     assert rc == 2 and out == ""
     assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
     assert not any(path.exists() for path in outputs.values())
+
+
+@pytest.mark.parametrize("report_out", ["t.jsonl", "sub/../t.jsonl", "link.jsonl"])
+def test_simulate_outputs_naming_one_file_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 report_out):
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, PROFILES)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "t.jsonl")
+    monkeypatch.setattr(cli, "simulate", lambda *args: pytest.fail("simulated"))
+    rc, out, err = run(capsys, "simulate", str(profiles), "--events", "60", "--cadence", "20",
+                       "--trajectory-out", str(tmp_path / "t.jsonl"),
+                       "--report-out", str(tmp_path / report_out))
+    assert (rc, out) == (2, "")
+    assert err == f"error: two outputs name {os.path.realpath(tmp_path / 't.jsonl')}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "profiles.jsonl", "sub"]
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_simulate_failure_keeps_existing_trajectory(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import builtins
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,7 +250,7 @@ def test_simulate_matches_per_event_oracle(monkeypatch, case, cadence, block):
     trajectory = simulate(spec, scorers, cadence)
     assert [(snap.event_index, dict(snap.rankings)) for snap in trajectory.snapshots] == snapshots
     final = trajectory.final_state
-    # tallies, creation order, cached maxima and event count
+    # tallies, creation order, maxima and event count
     assert final.snapshot() == state.snapshot()
     assert final.recompute_maxima() == (final.raw_n_max, final.raw_u_max, final.raw_d_max)
 
@@ -356,3 +359,25 @@ def test_rank_one_changes_counted():
     tops = [snap.rankings["blend"].ids()[0] for snap in trajectory.snapshots]
     expected = sum(1 for prev, cur in zip(tops, tops[1:]) if prev != cur)
     assert report.per_scorer["blend"].rank_one_changes == expected
+
+
+_STABILITY_STUDY = Path(__file__).resolve().parent.parent / "scripts" / "stability_study.py"
+
+
+def test_stability_study_prints_a_row_per_scorer():
+    result = subprocess.run([sys.executable, str(_STABILITY_STUDY), "--events", "2000",
+                             "--cadence", "200"], capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    rows = [line.split("  ")[0] for line in result.stdout.splitlines()
+            if line.startswith(("wilson (P=1) ", "blend P="))]
+    assert rows == ["wilson (P=1)", "blend P=0.75", "blend P=0.5", "blend P=0.25"]
+
+
+@pytest.mark.parametrize("flags", [["--events", "300"], ["--events", "200", "--cadence", "200"],
+                                   ["--cadence", "0"]])
+def test_stability_study_refuses_too_few_snapshots(flags):
+    result = subprocess.run([sys.executable, str(_STABILITY_STUDY), *flags],
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith("stability_study.py: error: ")

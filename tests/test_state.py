@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rank_answers_reference
+from helpers import brute_maxima, rank_answers_reference
 from spotrank.scoring import EXP, LINEAR, LOG10, ScoringConfig, SiKind, VoteTally, spotlight_index
 from spotrank.state import (
     AnswerEntry,
@@ -43,33 +43,36 @@ def build_state(*tallies):
 
 def test_first_vote_sets_all_maxima():
     state = QuestionState("q")
-    changed = state.apply_event(event("a", up=1))
-    assert changed is True
+    state.apply_event(event("a", up=1))
     assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == (1, 1, 0)
     assert state.tally("a") == VoteTally(1, 0)
 
 
 def test_vote_below_maximum_leaves_maxima_alone():
     state = build_state(("b", 90, 10), ("a", 30, 10))
-    changed = state.apply_event(event("a", up=1))
-    assert changed is False
+    state.apply_event(event("a", up=1))
     assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == (100, 90, 10)
 
 
 def test_retraction_of_unique_max_holder_rescans():
     state = build_state(("a", 50, 0), ("b", 30, 5), ("c", 10, 2))
-    changed = state.apply_event(event("a", up=-1))
-    assert changed is True
-    assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == scan_maxima(state.entries())
+    state.apply_event(event("a", up=-1))
+    assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == brute_maxima(state.entries())
     assert state.raw_n_max == 49
 
 
 def test_retraction_of_tied_max_keeps_value():
     state = build_state(("a", 40, 0), ("b", 40, 0))
-    changed = state.apply_event(event("a", up=-1))
-    assert changed is False  # b still holds 40
-    assert state.raw_n_max == 40
+    state.apply_event(event("a", up=-1))
+    assert state.raw_n_max == 40  # b still holds 40
     assert state.raw_u_max == 40
+
+
+def test_state_holds_tallies_only():
+    state = QuestionState("q")
+    assert set(vars(state)) == {"question_id", "_counts", "event_count"}
+    state.apply_event(event("a", up=3, down=1))
+    assert set(vars(state)) == {"question_id", "_counts", "event_count"}
 
 
 def test_unknown_answer_is_created():
@@ -112,25 +115,6 @@ def test_event_count_tracks_accepted_events():
     with pytest.raises(NegativeCountError):
         state.apply_event(event("a", down=-5))
     assert state.event_count == 2
-
-
-def test_maxima_changed_iff_values_changed():
-    state = QuestionState("q")
-    rng = random.Random(7)
-    for _ in range(500):
-        answer = f"a{rng.randrange(8)}"
-        tally = state.tally(answer) or VoteTally(0, 0)
-        if rng.random() < 0.3 and tally.n > 0:
-            up_delta, down_delta = (-1, 0) if tally.up else (0, -1)
-        else:
-            up_delta, down_delta = rng.randint(0, 3), rng.randint(0, 3)
-        if up_delta == 0 and down_delta == 0:
-            continue
-        ev = event(answer, up=up_delta, down=down_delta)
-        before = (state.raw_n_max, state.raw_u_max, state.raw_d_max)
-        changed = state.apply_event(ev)
-        after = (state.raw_n_max, state.raw_u_max, state.raw_d_max)
-        assert changed == (before != after)
 
 
 # --- recompute & cache coherence ----------------------------------------------
@@ -382,7 +366,7 @@ def test_state_rank_equals_rank_answers_of_its_entries(steps, configs):
                 state.apply_event(event(f"a{answer_index}", up=up_delta, down=down_delta))
             except NegativeCountError:
                 pass  # a retraction below zero; the state is unchanged
-    raw_maxima = (state.raw_n_max, state.raw_u_max, state.raw_d_max)
+    raw_maxima = brute_maxima(state.entries())
     for config in configs:
         ranked = state.rank(config)
         assert ranked == rank_answers(state.entries(), config, raw_maxima)
@@ -398,8 +382,7 @@ def test_maxima_unchanged_implies_si_unchanged():
         )
         for e in state.entries()
     }
-    changed = state.apply_event(event("b", up=1))
-    assert changed is False
+    state.apply_event(event("b", up=1))
     after_maxima = state.rank(config).maxima
     for e in state.entries():
         if e.answer_id == "a":
@@ -446,4 +429,5 @@ def test_snapshot_maxima_match_rescan_of_snapshot_entries():
     state = build_state(("a", 12, 4), ("b", 7, 9), ("c", 1, 1))
     state.apply_event(event("b", up=-1))
     snap = state.snapshot()
-    assert (snap.raw_n_max, snap.raw_u_max, snap.raw_d_max) == scan_maxima(snap.entries)
+    assert (snap.raw_n_max, snap.raw_u_max, snap.raw_d_max) == brute_maxima(snap.entries)
+    assert scan_maxima(snap.entries) == brute_maxima(snap.entries)
