@@ -1,8 +1,8 @@
 """Command-line surface: score, rank, replay, grid, sweep, simulate.
 
 Conventions shared by every subcommand: exit 0 on success and 2 on any
-usage/config/input error; data goes to stdout (or the requested files),
-errors to stderr, never mixed; output is deterministic for identical inputs.
+usage/config/input or write error; data goes to stdout (or the requested
+files), errors to stderr, never mixed; output is deterministic for identical inputs.
 Human-facing numbers carry 6 fractional digits, machine-facing JSONL/CSV 12
 significant digits.
 
@@ -21,6 +21,7 @@ import errno
 import io
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -34,7 +35,7 @@ from .grids import (
     ImprovedScorer,
     SweepSpec,
     WilsonScorer,
-    check_row_fits,
+    check_grid,
     emit_csv,
     grid_scores,  # not called here; bench/tracer.py wraps it under this name
 )
@@ -310,11 +311,13 @@ def _reading(path: str) -> Iterator[TextIO]:
     reported for the input, not for a line.
     """
     fh = _open_input(path)
+    name = "stdin" if path == "-" else path
     try:
         yield fh
     except UnicodeDecodeError as exc:
-        name = "stdin" if path == "-" else path
         raise CliError(f"{name}: not valid UTF-8 ({exc.reason})") from exc
+    except OSError as exc:  # so that every OSError main sees is a write's
+        raise CliError(f"cannot read {name}: {exc}") from exc
     finally:
         if path != "-":
             fh.close()
@@ -575,38 +578,43 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 @contextmanager
-def _staged_outputs() -> Iterator[Callable[[str | Path], Path]]:
-    """Yield ``stage(target)``, which gives the temp path beside ``target``
-    that its bytes are written to.  When the block ends, every temp file is
-    renamed onto its target; when it raises, the temp files are removed and
-    no target is touched.  ``stage`` refuses a target that is a directory,
-    as ``open`` would, so that failure comes before any rename."""
-    staged: dict[Path, Path] = {}  # target -> temp
-
-    def stage(target: str | Path) -> Path:
-        target = Path(target)
-        if target.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-        tmp = staged[target] = target.parent / f".{target.name}.{os.getpid()}.tmp"
-        return tmp
-
+def _outputs(targets: Iterable[str | Path]) -> Iterator[list[str]]:
+    """Yield the path each target's bytes go to, once no two targets name one
+    file (compared after ``realpath``: ``F``, ``sub/../F`` and a link to ``F``
+    are one) and none is a directory.  A regular or absent target is staged
+    beside the file it names, so a link is written through, and renamed onto
+    it only if the block ends without error; any other target, such as a FIFO
+    or a device, is written in place."""
+    targets = list(map(str, targets))
+    # realpath, as Path.resolve, but without raising on a symlink loop
+    reals = [os.path.realpath(target) for target in targets]
+    paths, staged = [], {}  # staged: temp -> (file named, target)
+    for target, real in zip(targets, reals):
+        if reals.count(real) > 1:
+            raise CliError(f"two outputs name {real}")
+        try:
+            mode = os.stat(real).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG  # staged, as a regular file is
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        path = target
+        if stat.S_ISREG(mode):
+            head, name = os.path.split(real)
+            path = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            staged[path] = (real, target)
+        paths.append(path)
     try:
-        yield stage
-        for target, tmp in staged.items():
-            os.replace(tmp, target)
+        yield paths
+        for tmp, (real, _) in staged.items():
+            os.replace(tmp, real)
+    except OSError as exc:
+        if exc.filename in staged:  # name the target, not the temp file beside it
+            exc.filename = staged[exc.filename][1]
+        raise
     finally:
-        for tmp in staged.values():
-            tmp.unlink(missing_ok=True)
-
-
-def _check_distinct_outputs(paths: Iterable[Path]) -> None:
-    """Refuse a run two of whose outputs name one file, where the later would
-    replace the earlier; called before any work."""
-    seen: set[Path] = set()
-    for path in paths:
-        if path in seen:
-            raise CliError(f"two outputs name {path}")
-        seen.add(path)
+        for tmp in staged:
+            Path(tmp).unlink(missing_ok=True)
 
 
 # --- grid / sweep -----------------------------------------------------------
@@ -633,22 +641,19 @@ def cmd_grid(args: argparse.Namespace) -> int:
     opts = _flag_values(args)
     spec = _build_grid_spec(opts)
     out = opts["out"]
-    # emit_csv checks the spec and computes the first block before the first
-    # byte, so a refused grid leaves stdout empty and --out untouched
+    # the spec is checked before --out is looked at, and the first block is
+    # computed before the first byte: a refused grid leaves every output as it was
     try:
+        check_grid(spec)
         if out is None:
             emit_csv(spec, sys.stdout)
-            return 0
-        with _staged_outputs() as stage:
-            emit_csv(spec, stage(out))
+        else:
+            with _outputs([out]) as (path,):
+                emit_csv(spec, path)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except MemoryError as exc:
         raise _too_large(spec) from exc
-    except OSError as exc:
-        if out is None:
-            raise  # main reports the closed stdout
-        raise CliError(f"cannot write {out}: {exc}") from exc
     return 0
 
 
@@ -677,21 +682,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(opts["out-dir"])
     outputs = [(out_dir / f"grid_{point.slug()}.csv", grid_spec)
                for point, grid_spec in spec.points()]
-    _check_distinct_outputs(path for path, _ in outputs)
     try:
-        check_row_fits(base)  # every point has the base's rows
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with _staged_outputs() as stage:
-            for path, grid_spec in outputs:
-                emit_csv(grid_spec, stage(path))
+        for _, grid_spec in outputs:
+            check_grid(grid_spec)
+        with _outputs(path for path, _ in outputs) as paths:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for (_, grid_spec), path in zip(outputs, paths):
+                emit_csv(grid_spec, path)
             for path, _ in outputs:
                 print(path)
             # flushed before any rename, so a closed stdout is seen while the
             # targets are still untouched
             sys.stdout.flush()
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):
-            raise  # main reports the closed stdout
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     except MemoryError as exc:
         raise _too_large(base) from exc
@@ -729,45 +732,37 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cadence = opts["cadence"]
     if cadence < 1:
         raise CliError("cadence: must be positive")
-    trajectory_path, report_path = opts["trajectory-out"], opts["report-out"]
-    # realpath, as Path.resolve, but without raising on a symlink loop
-    _check_distinct_outputs(Path(os.path.realpath(path)) for path in (trajectory_path, report_path))
-
-    scorers = {"wilson": replace(config, p_weight=1.0), "improved": config}
-    trajectory = simulate(spec, scorers, cadence)
-    report = stability_report(trajectory) if len(trajectory.snapshots) >= 2 else None
-
-    report_obj: dict[str, Any] = {"scorers": {}, "agreement": []}
-    if report is not None:
-        for label in trajectory.scorer_labels:
-            stats = report.per_scorer[label]
-            report_obj["scorers"][label] = {
-                "mean_adjacent_tau": _round12(stats.mean_adjacent_tau),
-                "rank_one_changes": stats.rank_one_changes,
-            }
-        for (label_a, label_b), tau in report.agreement.items():
-            report_obj["agreement"].append(
-                {"scorers": [label_a, label_b], "final_tau": _round12(tau)}
-            )
-
-    try:
-        with _staged_outputs() as stage:
-            with open(stage(trajectory_path), "w", encoding="utf-8", newline="\n") as fh:
-                for snap in trajectory.snapshots:
-                    for label in trajectory.scorer_labels:
-                        ranked = snap.rankings[label]
-                        fh.write(json.dumps({
-                            "event_index": snap.event_index,
-                            "scorer": label,
-                            "ranking": [
-                                {"answer_id": answer_id, "combined": _round12(b.combined)}
-                                for answer_id, b in ranked.entries
-                            ],
-                        }, sort_keys=True) + "\n")
-            with open(stage(report_path), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise CliError(f"cannot write output: {exc}") from exc
+    # the outputs are checked before the run, and written only after it
+    with _outputs([opts["trajectory-out"], opts["report-out"]]) as (trajectory_path, report_path):
+        scorers = {"wilson": replace(config, p_weight=1.0), "improved": config}
+        trajectory = simulate(spec, scorers, cadence)
+        report = stability_report(trajectory) if len(trajectory.snapshots) >= 2 else None
+        report_obj: dict[str, Any] = {"scorers": {}, "agreement": []}
+        if report is not None:
+            for label in trajectory.scorer_labels:
+                stats = report.per_scorer[label]
+                report_obj["scorers"][label] = {
+                    "mean_adjacent_tau": _round12(stats.mean_adjacent_tau),
+                    "rank_one_changes": stats.rank_one_changes,
+                }
+            for (label_a, label_b), tau in report.agreement.items():
+                report_obj["agreement"].append(
+                    {"scorers": [label_a, label_b], "final_tau": _round12(tau)}
+                )
+        with open(trajectory_path, "w", encoding="utf-8", newline="\n") as fh:
+            for snap in trajectory.snapshots:
+                for label in trajectory.scorer_labels:
+                    ranked = snap.rankings[label]
+                    fh.write(json.dumps({
+                        "event_index": snap.event_index,
+                        "scorer": label,
+                        "ranking": [
+                            {"answer_id": answer_id, "combined": _round12(b.combined)}
+                            for answer_id, b in ranked.entries
+                        ],
+                    }, sort_keys=True) + "\n")
+        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -830,21 +825,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         rc = args.func(args)
-        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        sys.stdout.flush()  # a failed stdout shows here, not at interpreter exit
         return rc
     except SystemExit as exc:  # --help exits 0; usage errors raise CliError
         return int(exc.code or 0)
     except CliError as exc:
-        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # the reader of stdout went away; point stdout at devnull so the
-        # flush at exit does not raise again (see the Python signal docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: stdout was closed before all output was written", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except OSError as exc:  # _reading reports read errors, so this is a write's
+        message = ("stdout was closed before all output was written"
+                   if isinstance(exc, BrokenPipeError) else f"cannot write output: {exc}")
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout failed: point it at devnull so the flush at
+            # exit does not raise again (see the Python signal docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    print(f"error: {message.translate(_LINE_BREAKS)}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -230,9 +230,17 @@ def _metadata(spec: GridSpec) -> dict[str, str]:
     return meta
 
 
-def check_row_fits(spec: GridSpec) -> None:
-    """Raise :class:`MemoryError` if one row of ``spec`` holds more float64
-    cells than an array can address; a block is never less than one row."""
+def check_grid(spec: GridSpec) -> None:
+    """Raise what evaluating ``spec`` would raise before its first cell.
+
+    That is :class:`InconsistentMaximaError` if the maxima do not cover the
+    last cell for the scorer's kind, :class:`ConfigError` if its config is
+    invalid, and :class:`MemoryError` if one row holds more float64 cells than
+    an array can address, since a block is never less than one row.
+    """
+    if isinstance(spec.scorer, ImprovedScorer):
+        check_coverage(spec.scorer.config.si_kind, spec.maxima, *spec.last_cell)
+        validate_config(spec.scorer.config)
     cols = spec.shape[1]
     if cols > _MAX_ROW_CELLS:
         raise MemoryError(f"a grid row of {cols} cells does not fit in memory")
@@ -246,11 +254,8 @@ def _row_blocks(spec: GridSpec) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, 
     """
     import numpy as np
 
+    check_grid(spec)
     scorer = spec.scorer
-    if isinstance(scorer, ImprovedScorer):
-        check_coverage(scorer.config.si_kind, spec.maxima, *spec.last_cell)
-        config = validate_config(scorer.config)
-    check_row_fits(spec)
     rows, cols = spec.shape
     step = spec.step
     d_values = np.arange(0, spec.d_max_grid + 1, step, dtype=np.int64)
@@ -260,6 +265,7 @@ def _row_blocks(spec: GridSpec) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, 
     if isinstance(scorer, ImprovedScorer):
         # every count is a multiple of step, so the scalar kernel runs once
         # per distinct multiple and the cells gather from that table
+        config = scorer.config
         transform = config.si_transform
 
         def si_parts(i: np.ndarray, j: np.ndarray):

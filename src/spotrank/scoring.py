@@ -288,6 +288,11 @@ def spotlight_index(
     exp(u - d - n_max), positive everywhere.  Exponential indices are
     evaluated as exp(count - max) with the subtraction done first; never as a
     quotient of two huge exponentials.
+
+    That is the float64 limit of the exp transform: exp(count - max) is 0.0
+    once max - count exceeds 745 (exp(-745) is the least subnormal, 5e-324),
+    so two tallies that far below the maximum tie at 0.0 even where their
+    linear indices are strictly ordered.
     """
     count, top, negate, variant = _si_parts(tally.up, tally.down, maxima, kind, transform,
                                             whole_variant)

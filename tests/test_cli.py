@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -660,6 +662,26 @@ def test_replay_applies_each_line_before_reading_the_next(capsys, monkeypatch):
     assert err == "error: line 2: event would drive answer 'a' to (1, -1)\n"
 
 
+class _FailingInput:
+    """An input whose second read fails, as a disk error would."""
+
+    def __iter__(self):
+        yield json.dumps({"answer_id": "a", "up": 1, "down": 0}) + "\n"
+        raise OSError(5, "Input/output error")
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("path,name", [("tallies.jsonl", "tallies.jsonl"), ("-", "stdin")])
+def test_read_error_is_reported_for_the_input(capsys, monkeypatch, path, name):
+    monkeypatch.setattr(sys, "stdin", _FailingInput())
+    monkeypatch.setattr(cli, "_open_input", lambda path: sys.stdin)
+    rc, out, err = run(capsys, "rank", path)
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot read {name}: [Errno 5] Input/output error\n"
+
+
 def test_replay_orders_questions_and_tied_answers_by_first_appearance(tmp_path, capsys):
     # q3 and q1 interleave; every answer ends at (1, 0) (q1's "m" votes up
     # twice and retracts once), so ties leave answers in first-seen order
@@ -871,6 +893,11 @@ def test_grid_out_directory_exits_2_and_keeps_the_directory(tmp_path, capsys):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
     assert [p.name for p in target.iterdir()] == ["keep.txt"]
+    # maxima that do not cover the grid are named before the output is looked at
+    rc, out, err = run(capsys, "grid", "--u-range", "5", "--d-range", "5",
+                       "--n-max", "1", "--out", str(target))
+    assert (rc, out, err) == (2, "", "error: n_max=1 cannot cover u+d up to 10 for kind whole\n")
+    assert [p.name for p in target.iterdir()] == ["keep.txt"]
 
 
 @pytest.mark.parametrize("command", ["grid", "sweep"])
@@ -901,6 +928,43 @@ def test_grid_failed_write_leaves_existing_out_file_untouched(tmp_path, capsys, 
     assert err.count("\n") == 1 and "No space left on device" in err
     assert target.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+
+
+def test_grid_out_through_a_symlink_writes_the_file_it_names(tmp_path, capsys):
+    grid = ("grid", "--u-range", "3", "--d-range", "3", "--n-max", "10")
+    assert run(capsys, *grid, "--out", str(tmp_path / "plain.csv")) == (0, "", "")
+    real = tmp_path / "real.csv"
+    real.write_bytes(b"old bytes\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert run(capsys, *grid, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "plain.csv", "real.csv"]
+
+
+def test_grid_out_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+
+    def read_fifo():
+        with open(fifo, "rb") as fh:  # blocks until the writer opens it
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read_fifo, daemon=True)
+    reader.start()
+    grid = [sys.executable, "-m", "spotrank", "grid", "--u-range", "3", "--d-range", "3",
+            "--n-max", "10"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([*grid, "--out", str(fifo)], capture_output=True, timeout=60, env=env)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+    expected = subprocess.run(grid, capture_output=True, timeout=60, env=env, check=True).stdout
+    assert received == [expected]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_grid_step_grid_shape(capsys):
@@ -1120,7 +1184,7 @@ def test_sweep_failed_write_leaves_existing_target_untouched(tmp_path, capsys, m
     rc, out, err = run(capsys, "sweep", "--u-range", "3", "--d-range", "3", "--n-max", "10",
                        "--out-dir", str(out_dir), "--z-values", "1", "--p-values", "0")
     assert rc == 2 and out == ""
-    assert err == "error: [Errno 28] No space left on device\n"
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
     assert existing.read_bytes() == b"old bytes\n"
     assert [p.name for p in out_dir.iterdir()] == [existing.name]
 
@@ -1259,6 +1323,22 @@ def test_simulate_outputs_naming_one_file_exit_2_before_any_work(tmp_path, capsy
     assert not (tmp_path / "t.jsonl").exists()
 
 
+def test_simulate_trajectory_out_through_a_symlink_writes_the_file_it_names(tmp_path, capsys):
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, PROFILES)
+    simulate = ("simulate", str(profiles), "--events", "60", "--cadence", "20",
+                "--report-out", str(tmp_path / "r.json"))
+    assert run(capsys, *simulate, "--trajectory-out", str(tmp_path / "plain.jsonl")) == (0, "", "")
+    real = tmp_path / "real.jsonl"
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)  # dangling: the file it names is made
+    assert run(capsys, *simulate, "--trajectory-out", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.jsonl", "plain.jsonl", "profiles.jsonl", "r.json", "real.jsonl"]
+
+
 def test_simulate_failure_keeps_existing_trajectory(tmp_path, capsys):
     profiles = tmp_path / "profiles.jsonl"
     write_jsonl(profiles, PROFILES)
@@ -1269,7 +1349,7 @@ def test_simulate_failure_keeps_existing_trajectory(tmp_path, capsys):
     rc, out, err = run(capsys, "simulate", str(profiles), "--events", "60", "--cadence", "20",
                        "--trajectory-out", str(trajectory), "--report-out", str(report))
     assert rc == 2 and out == ""
-    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert err == f"error: cannot write output: [Errno 21] Is a directory: '{report}'\n"
     assert trajectory.read_bytes() == b"old trajectory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["profiles.jsonl", "r.json", "t.jsonl"]
 
@@ -1404,6 +1484,34 @@ def test_closed_stdout_exits_2_with_one_error_line(tmp_path, command):
         os.close(write_end)
     assert result.returncode == 2
     assert result.stderr == "error: stdout was closed before all output was written\n"
+    if command == "sweep":
+        assert list((tmp_path / "grids").iterdir()) == []  # written grids were rolled back
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["score", "rank", "replay", "grid", "sweep"])
+def test_full_stdout_exits_2_with_one_error_line(tmp_path, command):
+    tallies, events = tmp_path / "tallies.jsonl", tmp_path / "events.jsonl"
+    write_jsonl(tallies, [{"answer_id": "a", "up": 3, "down": 1}])
+    write_jsonl(events, [{"question_id": "q", "answer_id": "a", "up_delta": 1, "down_delta": 0,
+                          "ts": 1}])
+    argv = {
+        "score": ["score", "--up", "3", "--down", "1"],
+        "rank": ["rank", str(tallies)],
+        "replay": ["replay", str(events)],
+        "grid": ["grid", "--u-range", "3", "--d-range", "3", "--n-max", "10"],
+        "sweep": ["sweep", "--u-range", "3", "--d-range", "3", "--n-max", "10",
+                  "--out-dir", str(tmp_path / "grids")],
+    }[command]
+    # stdout opened on the device, as `> /dev/full` does; nothing is written to its node
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "spotrank", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
     if command == "sweep":
         assert list((tmp_path / "grids").iterdir()) == []  # written grids were rolled back
 

@@ -3,7 +3,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from spotrank.scoring import (
     Bound,
@@ -352,17 +352,45 @@ def test_linear_si_scale_invariant(u, d, extra, k, kind):
     transform=st.sampled_from([LOG10, EXP, poly(0.5), poly(2.0), poly(3.0)]),
 )
 def test_transforms_preserve_strict_order(case_a, case_b, n_max_extra, kind, transform):
-    # bounded counts keep every transformed value inside double range, where
-    # the monotone reshaping provably cannot collapse a strict inequality
+    # bounded counts keep log and poly values inside double range, where the
+    # monotone reshaping cannot collapse a strict inequality; exp(count - top)
+    # is positive only while top - count <= 745, so exp is drawn there (its
+    # underflow past that is pinned by test_exp_index_underflows_past_745)
     n_max = max(case_a[0] + case_a[1], case_b[0] + case_b[1], 1) + n_max_extra
     maxima = Maxima(n_max, max(case_a[0], case_b[0], 1), max(case_a[1], case_b[1], 1))
     tally_a, tally_b = VoteTally(*case_a), VoteTally(*case_b)
+    if transform is EXP:
+        assume(exp_depth(tally_a, maxima, kind) <= 745 and exp_depth(tally_b, maxima, kind) <= 745)
     linear_a = spotlight_index(tally_a, maxima, kind)
     linear_b = spotlight_index(tally_b, maxima, kind)
     if linear_a > linear_b:
         assert spotlight_index(tally_a, maxima, kind, transform) > spotlight_index(
             tally_b, maxima, kind, transform
         )
+
+
+def exp_depth(tally: VoteTally, maxima: Maxima, kind: SiKind) -> int:
+    """top - count of the exp index, whose value is exp(count - top)."""
+    u, d = tally.up, tally.down
+    count, top = {
+        SiKind.WHOLE: (u + d, maxima.n_max), SiKind.NET: (u - d, maxima.n_max),
+        SiKind.POSITIVE: (u, maxima.n_max), SiKind.NEGATIVE: (d, maxima.n_max),
+        SiKind.UPVOTE: (u, maxima.u_max), SiKind.DOWNVOTE: (d, maxima.d_max),
+    }[kind]
+    return top - count
+
+
+def test_exp_index_underflows_past_745():
+    # the documented float64 limit of spotlight_index: exp(-746) is 0.0, so
+    # (0, 0) and (246, 400) under net/exp with n_max = 746 tie at 0.0, while
+    # their linear net indices, 0 and -154/746, are strictly ordered
+    maxima = Maxima(746, 246, 400)
+    a, b = VoteTally(0, 0), VoteTally(246, 400)
+    assert spotlight_index(a, maxima, SiKind.NET) > spotlight_index(b, maxima, SiKind.NET)
+    assert spotlight_index(a, maxima, SiKind.NET, EXP) == 0.0
+    assert spotlight_index(b, maxima, SiKind.NET, EXP) == 0.0
+    # one vote up, the index is exp(-745), the least subnormal, still positive
+    assert spotlight_index(VoteTally(1, 0), maxima, SiKind.NET, EXP) == 5e-324
 
 
 # --- the factored kernel against its branch-per-case form --------------------

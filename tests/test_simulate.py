@@ -252,7 +252,7 @@ def test_simulate_matches_per_event_oracle(monkeypatch, case, cadence, block):
     final = trajectory.final_state
     # tallies, creation order, maxima and event count
     assert final.snapshot() == state.snapshot()
-    assert final.recompute_maxima() == (final.raw_n_max, final.raw_u_max, final.raw_d_max)
+    assert final.recompute_maxima() == helpers.brute_maxima(final.entries())
 
 
 def test_generate_events_across_default_draw_blocks():

@@ -153,7 +153,7 @@ def test_caches_always_match_full_rescan(steps):
             state.apply_event(event(f"a{answer_index}", up=up_delta, down=down_delta))
         except NegativeCountError:
             pass
-        assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == state.recompute_maxima()
+        assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == brute_maxima(state.entries())
 
 
 @settings(max_examples=30, deadline=None)
