@@ -35,6 +35,7 @@ from .grids import (
     ImprovedScorer,
     SweepSpec,
     WilsonScorer,
+    _open_output,
     check_grid,
     emit_csv,
     grid_scores,  # not called here; bench/tracer.py wraps it under this name
@@ -332,8 +333,8 @@ def _reject_constant(name: str) -> Any:
 # one decoder for every line: json.loads(parse_constant=...) would build a
 # new decoder per call
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-# the one-pass checks of rank and replay call the scanner by this name; a
-# line they do not take goes through decode(), which looks it up on the decoder
+# _objects calls the scanner by this name; a line it does not take goes
+# through decode(), which looks it up on the decoder
 _SCAN_ONCE = _DECODER.scan_once
 _WHITESPACE = json.decoder.WHITESPACE.match
 
@@ -353,6 +354,25 @@ def _parse_jsonl_line(line_no: int, line: str) -> dict:
     if not isinstance(obj, dict):
         raise CliError(f"line {line_no}: expected a JSON object")
     return obj
+
+
+def _objects(fh: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """The number and JSON object of each non-blank line, in file order.
+
+    A line that is one object from its first character is decoded by one
+    scanner call; any other line goes through :func:`_parse_jsonl_line`,
+    which raises the message of its first fault.
+    """
+    scan, whitespace = _SCAN_ONCE, _WHITESPACE
+    for line_no, line in enumerate(fh, start=1):
+        try:
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            obj = None
+        if type(obj) is dict and whitespace(line, end).end() == len(line):
+            yield line_no, obj
+        elif line.strip():
+            yield line_no, _parse_jsonl_line(line_no, line)
 
 
 def _require_str(line_no: int, obj: dict, key: str) -> str:
@@ -414,44 +434,32 @@ def cmd_score(args: argparse.Namespace) -> int:
 def _read_tallies(fh: TextIO) -> dict[str, tuple[int, int]]:
     """Each answer's ``(up, down)``, in file order.
 
-    A line that is one object from its first character, with a new string
-    ``answer_id`` and in-range integer counts, is checked in one pass.  Any
-    other line goes through :func:`_tally_line`, which reports the first
-    failing check.
+    Each line is checked in one expression: a string ``answer_id`` not seen
+    before and in-range integer counts.  A line that fails it goes to
+    :func:`_tally_error`, which reports the first failing check.
     """
     tallies: dict[str, tuple[int, int]] = {}
-    scan, whitespace, hi = _SCAN_ONCE, _WHITESPACE, _INT_MAX
-    for line_no, line in enumerate(fh, start=1):
-        try:
-            obj, end = scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            obj = None
-        if type(obj) is dict and whitespace(line, end).end() == len(line):
-            get = obj.get
-            answer_id = get("answer_id")
-            up = get("up")
-            down = get("down")
-            # type(x) is int excludes bool, as _require_int does
-            if (type(answer_id) is str and type(up) is int and type(down) is int
-                    and 0 <= up <= hi and 0 <= down <= hi and answer_id not in tallies):
-                tallies[answer_id] = (up, down)
-                continue
-        _tally_line(line_no, line, tallies)
+    hi = _INT_MAX
+    for line_no, obj in _objects(fh):
+        get = obj.get
+        answer_id = get("answer_id")
+        up = get("up")
+        down = get("down")
+        # type(x) is int excludes bool, as _require_int does
+        if not (type(answer_id) is str and type(up) is int and type(down) is int
+                and 0 <= up <= hi and 0 <= down <= hi and answer_id not in tallies):
+            _tally_error(line_no, obj)
+        tallies[answer_id] = (up, down)
     return tallies
 
 
-def _tally_line(line_no: int, line: str, tallies: dict[str, tuple[int, int]]) -> None:
-    """Check one line field by field and add its tally, raising the message
-    of the first check that fails."""
-    if not line.strip():
-        return
-    obj = _parse_jsonl_line(line_no, line)
+def _tally_error(line_no: int, obj: dict) -> NoReturn:
+    """Raise the message of the first check a tally line fails; a line that
+    passes the field checks repeats an ``answer_id``."""
     answer_id = _require_str(line_no, obj, "answer_id")
-    up = _require_int(line_no, obj, "up", minimum=0)
-    down = _require_int(line_no, obj, "down", minimum=0)
-    if answer_id in tallies:
-        raise CliError(f"line {line_no}: duplicate answer_id {answer_id!r}")
-    tallies[answer_id] = (up, down)
+    _require_int(line_no, obj, "up", minimum=0)
+    _require_int(line_no, obj, "down", minimum=0)
+    raise CliError(f"line {line_no}: duplicate answer_id {answer_id!r}")
 
 
 def _emit_ranking(tallies: Mapping[str, tuple[int, int]], config: ScoringConfig, out: TextIO,
@@ -496,53 +504,40 @@ def _replay_events(fh: TextIO) -> dict[str, QuestionState]:
     holds the answers seen, never the events; states are in first-appearance
     order of their questions.
 
-    A line that is one object from its first character, with five fields of
-    the exact types, in range, in timestamp order and with a nonzero delta,
-    is checked in one pass and applied as a delta.  Any other line, and any
-    line whose delta is rejected, goes through :func:`_replay_line`, which
-    reports the first failing check.
+    Each line is checked in one expression: five fields of the exact types,
+    in range, in timestamp order and with a nonzero delta.  A line that fails
+    it goes to :func:`_replay_error`, which reports the first failing check.
     """
     states: dict[str, QuestionState] = {}
     last_ts = _INT_MIN  # every in-range ts passes the order check
-    scan, whitespace, lo, hi = _SCAN_ONCE, _WHITESPACE, _INT_MIN, _INT_MAX
-    for line_no, line in enumerate(fh, start=1):
+    lo, hi = _INT_MIN, _INT_MAX
+    for line_no, obj in _objects(fh):
+        get = obj.get
+        question_id = get("question_id")
+        answer_id = get("answer_id")
+        up_delta = get("up_delta")
+        down_delta = get("down_delta")
+        ts = get("ts")
+        # type(x) is int excludes bool, as _require_int does
+        if not (type(question_id) is str and type(answer_id) is str
+                and type(up_delta) is int and type(down_delta) is int and type(ts) is int
+                and lo <= up_delta <= hi and lo <= down_delta <= hi
+                and last_ts <= ts <= hi and (up_delta or down_delta)):
+            _replay_error(line_no, obj, last_ts)
+        state = states.get(question_id)
+        if state is None:
+            state = states[question_id] = QuestionState(question_id)
         try:
-            obj, end = scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            obj = None
-        if type(obj) is dict and whitespace(line, end).end() == len(line):
-            get = obj.get
-            question_id = get("question_id")
-            answer_id = get("answer_id")
-            up_delta = get("up_delta")
-            down_delta = get("down_delta")
-            ts = get("ts")
-            # type(x) is int excludes bool, as _require_int does
-            if (type(question_id) is str and type(answer_id) is str
-                    and type(up_delta) is int and type(down_delta) is int and type(ts) is int
-                    and lo <= up_delta <= hi and lo <= down_delta <= hi
-                    and last_ts <= ts <= hi and (up_delta or down_delta)):
-                state = states.get(question_id)
-                if state is None:
-                    state = states[question_id] = QuestionState(question_id)
-                try:
-                    state.apply_delta(answer_id, up_delta, down_delta)
-                except NegativeCountError:
-                    pass  # the state is untouched; _replay_line reports it
-                else:
-                    last_ts = ts
-                    continue
-        last_ts = _replay_line(line_no, line, states, last_ts)
+            state.apply_delta(answer_id, up_delta, down_delta)
+        except NegativeCountError as exc:
+            raise CliError(f"line {line_no}: {exc}") from exc
+        last_ts = ts
     return states
 
 
-def _replay_line(line_no: int, line: str, states: dict[str, QuestionState],
-                 last_ts: int) -> int:
-    """Check and apply one line field by field, raising the message of the
-    first check that fails; returns the timestamp to order the next line by."""
-    if not line.strip():
-        return last_ts
-    obj = _parse_jsonl_line(line_no, line)
+def _replay_error(line_no: int, obj: dict, last_ts: int) -> None:
+    """Raise the message of the first check an event line fails; the message
+    of a zero delta is :class:`VoteEvent`'s."""
     question_id = _require_str(line_no, obj, "question_id")
     answer_id = _require_str(line_no, obj, "answer_id")
     up_delta = _require_int(line_no, obj, "up_delta")
@@ -551,17 +546,9 @@ def _replay_line(line_no: int, line: str, states: dict[str, QuestionState],
     if ts < last_ts:
         raise CliError(f"line {line_no}: out-of-order timestamp {ts} after {last_ts}")
     try:
-        event = VoteEvent(question_id, answer_id, up_delta, down_delta, ts)
+        VoteEvent(question_id, answer_id, up_delta, down_delta, ts)
     except ValueError as exc:
         raise CliError(f"line {line_no}: {exc}") from exc
-    state = states.get(question_id)
-    if state is None:
-        state = states[question_id] = QuestionState(question_id)
-    try:
-        state.apply_event(event)
-    except NegativeCountError as exc:
-        raise CliError(f"line {line_no}: {exc}") from exc
-    return ts
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -583,30 +570,32 @@ def _outputs(targets: Iterable[str | Path]) -> Iterator[list[str]]:
     file (compared after ``realpath``: ``F``, ``sub/../F`` and a link to ``F``
     are one) and none is a directory.  A regular or absent target is staged
     beside the file it names, so a link is written through, and renamed onto
-    it only if the block ends without error; any other target, such as a FIFO
-    or a device, is written in place."""
+    it, with the permission bits it had, only if the block ends without
+    error; any other target, such as a FIFO or a device, is written in place."""
     targets = list(map(str, targets))
     # realpath, as Path.resolve, but without raising on a symlink loop
     reals = [os.path.realpath(target) for target in targets]
-    paths, staged = [], {}  # staged: temp -> (file named, target)
+    paths, staged = [], {}  # staged: temp -> (file named, target, its mode or None)
     for target, real in zip(targets, reals):
         if reals.count(real) > 1:
             raise CliError(f"two outputs name {real}")
         try:
             mode = os.stat(real).st_mode
         except FileNotFoundError:
-            mode = stat.S_IFREG  # staged, as a regular file is
-        if stat.S_ISDIR(mode):
+            mode = None  # staged, as a regular file is, with the mode open() gives
+        if mode is not None and stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
         path = target
-        if stat.S_ISREG(mode):
+        if mode is None or stat.S_ISREG(mode):
             head, name = os.path.split(real)
             path = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-            staged[path] = (real, target)
+            staged[path] = (real, target, mode)
         paths.append(path)
     try:
         yield paths
-        for tmp, (real, _) in staged.items():
+        for tmp, (real, _, mode) in staged.items():
+            if mode is not None:
+                os.chmod(tmp, mode & 0o777)
             os.replace(tmp, real)
     except OSError as exc:
         if exc.filename in staged:  # name the target, not the temp file beside it
@@ -707,10 +696,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _read_profiles(path: str) -> tuple[AnswerProfile, ...]:
     profiles: list[AnswerProfile] = []
     with _reading(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = _parse_jsonl_line(line_no, line)
+        for line_no, obj in _objects(fh):
             answer_id = _require_str(line_no, obj, "answer_id")
             up_probability = _require_number(line_no, obj, "up_probability")
             arrival_weight = _require_number(line_no, obj, "arrival_weight", 1.0)
@@ -749,7 +735,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 report_obj["agreement"].append(
                     {"scorers": [label_a, label_b], "final_tau": _round12(tau)}
                 )
-        with open(trajectory_path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_output(trajectory_path) as fh:
             for snap in trajectory.snapshots:
                 for label in trajectory.scorer_labels:
                     ranked = snap.rankings[label]
@@ -761,7 +747,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                             for answer_id, b in ranked.entries
                         ],
                     }, sort_keys=True) + "\n")
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_output(report_path) as fh:
             fh.write(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -796,6 +782,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         raise CliError(message)
 
+    def print_help(self, file: TextIO | None = None) -> None:
+        # argparse ignores a failed write; main reports it, as any other output's
+        (sys.stdout if file is None else file).write(self.format_help())
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Flags that only collect strings; :func:`_flag_values` converts them."""
@@ -822,18 +812,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if sys.stdout is None:  # started with fd 1 closed: a pipe with no reader stands in
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sys.stdout = open(write_end, "w", encoding="utf-8", closefd=False)
     try:
-        args = build_parser().parse_args(argv)
-        rc = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            rc = args.func(args)
+        except SystemExit as exc:  # --help exits 0; usage errors raise CliError
+            rc = int(exc.code or 0)
         sys.stdout.flush()  # a failed stdout shows here, not at interpreter exit
         return rc
-    except SystemExit as exc:  # --help exits 0; usage errors raise CliError
-        return int(exc.code or 0)
     except CliError as exc:
         message = str(exc)
     except OSError as exc:  # _reading reports read errors, so this is a write's
+        # an output file's error names it, so one that names no file is stdout's
         message = ("stdout was closed before all output was written"
-                   if isinstance(exc, BrokenPipeError) else f"cannot write output: {exc}")
+                   if isinstance(exc, BrokenPipeError) and exc.filename is None
+                   else f"cannot write output: {exc}")
         try:
             sys.stdout.flush()
         except OSError:  # stdout failed: point it at devnull so the flush at

@@ -25,6 +25,7 @@ so importing this module (and the package) does not load it.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain, product
 from pathlib import Path
@@ -333,10 +334,22 @@ def emit_csv(grid: Union[ScoreGrid, GridSpec], destination: Union[str, Path, Tex
         blocks = iter([(grid.u_values, grid.scores)])
     blocks = chain([next(blocks)], blocks)  # computed before the file is opened
     if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_output(destination) as fh:
             _write_csv(metadata, d_values, blocks, fh)
     else:
         _write_csv(metadata, d_values, blocks, destination)
+
+
+@contextmanager
+def _open_output(path: Union[str, Path]) -> Iterator[TextIO]:
+    """``path`` opened for UTF-8 text with LF endings, as every output file of
+    the package is; an error writing it names it, as an error opening it does."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        exc.filename = path if exc.filename is None else exc.filename
+        raise
 
 
 def _write_csv(metadata: dict[str, str], d_values: np.ndarray,

@@ -967,6 +967,51 @@ def test_grid_out_fifo_is_written_in_place(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
+@pytest.mark.parametrize("command", ["grid", "simulate"])
+def test_fifo_output_whose_reader_leaves_is_named_in_the_error(tmp_path, command):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, PROFILES)
+    received = []
+
+    def read_fifo():
+        with open(fifo, "rb") as fh:  # blocks until the writer opens it
+            received.append(fh.read(10))  # and leaves before the rest
+
+    reader = threading.Thread(target=read_fifo, daemon=True)
+    reader.start()
+    # each writes far more than a pipe buffer holds
+    argv = {
+        "grid": ["grid", "--u-range", "300", "--d-range", "300", "--n-max", "1000",
+                 "--out", str(fifo)],
+        "simulate": ["simulate", str(profiles), "--events", "2000", "--cadence", "1",
+                     "--trajectory-out", str(fifo), "--report-out", str(tmp_path / "r.json")],
+    }[command]
+    result = subprocess.run([sys.executable, "-m", "spotrank", *argv], capture_output=True,
+                            text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    reader.join(timeout=10)
+    assert not reader.is_alive() and len(received[0]) == 10
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: cannot write output: [Errno 32] Broken pipe: '{fifo}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "profiles.jsonl"]
+
+
+def test_staged_output_keeps_the_targets_permission_bits(tmp_path, capsys):
+    target, link = tmp_path / "grid.csv", tmp_path / "hard.csv"
+    target.write_bytes(b"old bytes\n")
+    target.chmod(0o600)
+    os.link(target, link)
+    grid = ("grid", "--u-range", "3", "--d-range", "3", "--n-max", "10")
+    rc, expected, _ = run(capsys, *grid)
+    assert rc == 0
+    assert run(capsys, *grid, "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == expected
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    # the staged file is a new file: another hard link keeps the old one
+    assert link.read_bytes() == b"old bytes\n"
+
+
 def test_grid_step_grid_shape(capsys):
     rc, out, _ = run(capsys, "grid", "--u-range", "20", "--d-range", "10",
                      "--n-max", "60", "--step", "5")
@@ -1514,6 +1559,60 @@ def test_full_stdout_exits_2_with_one_error_line(tmp_path, command):
     assert result.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
     if command == "sweep":
         assert list((tmp_path / "grids").iterdir()) == []  # written grids were rolled back
+
+
+@pytest.mark.parametrize("command", ["score", "rank", "replay", "grid", "sweep", "grid-out",
+                                     "simulate"])
+def test_closed_fd_1_fails_only_the_commands_that_write_stdout(tmp_path, command):
+    tallies, events = tmp_path / "tallies.jsonl", tmp_path / "events.jsonl"
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(tallies, [{"answer_id": "a", "up": 3, "down": 1}])
+    write_jsonl(events, [{"question_id": "q", "answer_id": "a", "up_delta": 1, "down_delta": 0,
+                          "ts": 1}])
+    write_jsonl(profiles, PROFILES)
+    out = tmp_path / "out"
+    argv = {
+        "score": ["score", "--up", "3", "--down", "1"],
+        "rank": ["rank", str(tallies)],
+        "replay": ["replay", str(events)],
+        "grid": ["grid", "--u-range", "3", "--d-range", "3", "--n-max", "10"],
+        "sweep": ["sweep", "--u-range", "3", "--d-range", "3", "--n-max", "10",
+                  "--out-dir", str(out)],
+        "grid-out": ["grid", "--u-range", "3", "--d-range", "3", "--n-max", "10",
+                     "--out", str(out)],
+        "simulate": ["simulate", str(profiles), "--events", "20", "--trajectory-out", str(out),
+                     "--report-out", str(tmp_path / "report.json")],
+    }[command]
+    # the child starts with no fd 1, as `>&-` leaves it
+    result = subprocess.run(
+        [sys.executable, "-m", "spotrank", *argv], preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    if command in ("grid-out", "simulate"):
+        assert (result.returncode, result.stderr) == (0, "")
+        assert out.stat().st_size > 0
+    else:
+        assert result.returncode == 2
+        assert result.stderr == "error: stdout was closed before all output was written\n"
+        if command == "sweep":
+            assert list(out.iterdir()) == []  # written grids were rolled back
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["grid", "--help"]], ids=["help", "grid-help"])
+def test_help_to_a_full_stdout_exits_2_with_one_error_line(argv, buffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # stdout opened on the device, as `> /dev/full` does; nothing is written to its node
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "spotrank", *argv], stdout=full, stderr=subprocess.PIPE,
+            text=True, timeout=60, env={**env, "PYTHONPATH": str(SRC)},
+        )
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 def test_module_entry_point_runs():
