@@ -45,6 +45,7 @@ from .scoring import (
     _TRANSFORM_NAMES,
     ConfigError,
     InconsistentMaximaError,
+    ScoreBreakdown,
     ScoringConfig,
     SiKind,
     SiTransform,
@@ -55,7 +56,15 @@ from .scoring import (
     effective_maxima,
     validate_config,
 )
-from .simulate import AnswerProfile, StreamSpec, simulate, stability_report
+from .simulate import (
+    SIM_QUESTION_ID,
+    AnswerProfile,
+    StreamSpec,
+    _snapshot_stream,
+    _StabilityFold,
+    simulate,  # not called here; bench/tracer.py wraps it under this name
+    stability_report,  # not called here; bench/tracer.py wraps it under this name
+)
 from .state import (
     NegativeCountError,
     QuestionState,
@@ -707,6 +716,17 @@ def _read_profiles(path: str) -> tuple[AnswerProfile, ...]:
     return tuple(profiles)
 
 
+def _trajectory_line(event_index: int, label: str,
+                     entries: Iterable[tuple[str, ScoreBreakdown]]) -> str:
+    """One snapshot's ranking by one scorer, byte for byte what
+    ``json.dumps(..., sort_keys=True)`` gives for its dict, formatted
+    without building the dict."""
+    ranking = ", ".join(f'{{"answer_id": {_json_str(answer_id)}, "combined": '
+                        f'{_json12(breakdown.combined)}}}' for answer_id, breakdown in entries)
+    return (f'{{"event_index": {event_index}, "ranking": [{ranking}], '
+            f'"scorer": {_json_str(label)}}}\n')
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     opts = _flag_values(args)
     config = resolve_scoring_config(opts)
@@ -718,15 +738,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cadence = opts["cadence"]
     if cadence < 1:
         raise CliError("cadence: must be positive")
-    # the outputs are checked before the run, and written only after it
+    scorers = {"wilson": replace(config, p_weight=1.0), "improved": config}
+    fold = _StabilityFold(scorers)
+    # the outputs are checked before the run; each snapshot is written and
+    # folded into the report as it is ranked, then dropped
     with _outputs([opts["trajectory-out"], opts["report-out"]]) as (trajectory_path, report_path):
-        scorers = {"wilson": replace(config, p_weight=1.0), "improved": config}
-        trajectory = simulate(spec, scorers, cadence)
-        report = stability_report(trajectory) if len(trajectory.snapshots) >= 2 else None
+        with _open_output(trajectory_path) as fh:
+            for snap in _snapshot_stream(spec, scorers, cadence, QuestionState(SIM_QUESTION_ID)):
+                for label, ranked in snap.rankings.items():
+                    fh.write(_trajectory_line(snap.event_index, label, ranked.entries))
+                fold.add(snap)
         report_obj: dict[str, Any] = {"scorers": {}, "agreement": []}
-        if report is not None:
-            for label in trajectory.scorer_labels:
-                stats = report.per_scorer[label]
+        if fold.snapshots >= 2:
+            report = fold.report()
+            for label, stats in report.per_scorer.items():
                 report_obj["scorers"][label] = {
                     "mean_adjacent_tau": _round12(stats.mean_adjacent_tau),
                     "rank_one_changes": stats.rank_one_changes,
@@ -735,18 +760,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 report_obj["agreement"].append(
                     {"scorers": [label_a, label_b], "final_tau": _round12(tau)}
                 )
-        with _open_output(trajectory_path) as fh:
-            for snap in trajectory.snapshots:
-                for label in trajectory.scorer_labels:
-                    ranked = snap.rankings[label]
-                    fh.write(json.dumps({
-                        "event_index": snap.event_index,
-                        "scorer": label,
-                        "ranking": [
-                            {"answer_id": answer_id, "combined": _round12(b.combined)}
-                            for answer_id, b in ranked.entries
-                        ],
-                    }, sort_keys=True) + "\n")
         with _open_output(report_path) as fh:
             fh.write(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
     return 0
@@ -838,7 +851,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-    print(f"error: {message.translate(_LINE_BREAKS)}", file=sys.stderr)
+    # started with fd 2 closed, stderr is None or a stream whose writes fail;
+    # the exit code alone then tells of the error
+    if sys.stderr is not None:
+        try:
+            print(f"error: {message.translate(_LINE_BREAKS)}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
     return 2
 
 

@@ -20,7 +20,10 @@ load it.
 
 Stability is quantified with Kendall tau-a over adjacent ranking snapshots
 (rankings are strict total orders after tie-breaking, so no tie handling is
-needed) plus cross-scorer agreement on the final ranking.
+needed) plus cross-scorer agreement on the final ranking.  Both need only the
+previous snapshot, so the snapshots come as one stream: :func:`simulate`
+keeps all of them, and a caller that folds each one into the report as it
+comes (the CLI) holds one at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scoring import ScoringConfig, validate_config
 from .state import QuestionState, RankedList, VoteEvent
@@ -222,19 +225,26 @@ def simulate(
     for config in scorers.values():
         validate_config(config)
 
-    ids = [p.answer_id for p in spec.profiles]
     state = QuestionState(SIM_QUESTION_ID)
-    snapshots = []
+    snapshots = tuple(_snapshot_stream(spec, scorers, cadence, state))
+    return Trajectory(snapshots, state, tuple(scorers))
+
+
+def _snapshot_stream(spec: StreamSpec, scorers: Mapping[str, ScoringConfig], cadence: int,
+                     state: QuestionState) -> Iterator[TrajectorySnapshot]:
+    """Each snapshot of :func:`simulate`, yielded as soon as it is ranked, so
+    a caller that drops it holds one snapshot at a time.  The stream is
+    applied to ``state``, whose ``event_count`` is set once the stream ends."""
+    ids = [p.answer_id for p in spec.profiles]
     applied = 0
     for picks, is_up in _stream_blocks(spec, cadence):
         _apply_window(state, ids, picks, is_up)
         applied += len(picks)
         if applied % cadence == 0 or applied == spec.total_events:
-            rankings = {label: state.rank(config) for label, config in scorers.items()}
-            snapshots.append(TrajectorySnapshot(applied, rankings))
+            yield TrajectorySnapshot(
+                applied, {label: state.rank(config) for label, config in scorers.items()})
     # each delta stood for a block's single-vote events
     state.event_count = spec.total_events
-    return Trajectory(tuple(snapshots), state, tuple(scorers))
 
 
 def kendall_tau(ranking_a: Sequence[str], ranking_b: Sequence[str]) -> float:
@@ -296,30 +306,49 @@ def _tau_or_one(ids_a: Sequence[str], ids_b: Sequence[str]) -> float:
     )
 
 
+class _StabilityFold:
+    """:func:`stability_report`, fed one snapshot at a time.  It keeps the
+    previous snapshot's id order per scorer and each scorer's taus and
+    rank-one change count, never the snapshots themselves."""
+
+    def __init__(self, labels: Iterable[str]):
+        self.labels = tuple(labels)
+        self.snapshots = 0
+        self._ids: dict[str, tuple[str, ...]] = {}
+        # a list, not a running total: from Python 3.12 sum() adds floats
+        # with compensation, and the mean must not change with the fold
+        self._taus: dict[str, list[float]] = {label: [] for label in self.labels}
+        self._changes = dict.fromkeys(self.labels, 0)
+
+    def add(self, snapshot: TrajectorySnapshot) -> None:
+        ids = {label: snapshot.rankings[label].ids() for label in self.labels}
+        if self.snapshots:
+            for label in self.labels:
+                ids_prev, ids_cur = self._ids[label], ids[label]
+                self._taus[label].append(_tau_or_one(ids_prev, ids_cur))
+                if ids_prev and ids_cur and ids_prev[0] != ids_cur[0]:
+                    self._changes[label] += 1
+        self._ids = ids
+        self.snapshots += 1
+
+    def report(self) -> StabilityReport:
+        if self.snapshots < 2:
+            raise TooFewSnapshotsError("need at least 2 snapshots to measure stability")
+        per_scorer = {
+            label: ScorerStability(sum(taus) / len(taus), self._changes[label])
+            for label, taus in self._taus.items()
+        }
+        final = self._ids
+        agreement = {}
+        for i, label_a in enumerate(self.labels):
+            for label_b in self.labels[i + 1 :]:
+                agreement[(label_a, label_b)] = _tau_or_one(final[label_a], final[label_b])
+        return StabilityReport(per_scorer, agreement)
+
+
 def stability_report(trajectory: Trajectory) -> StabilityReport:
     """Aggregate adjacent-snapshot stability and cross-scorer final agreement."""
-    snaps = trajectory.snapshots
-    if len(snaps) < 2:
-        raise TooFewSnapshotsError("need at least 2 snapshots to measure stability")
-
-    per_scorer = {}
-    for label in trajectory.scorer_labels:
-        taus = []
-        changes = 0
-        for prev, cur in zip(snaps, snaps[1:]):
-            ids_prev = prev.rankings[label].ids()
-            ids_cur = cur.rankings[label].ids()
-            taus.append(_tau_or_one(ids_prev, ids_cur))
-            if ids_prev and ids_cur and ids_prev[0] != ids_cur[0]:
-                changes += 1
-        per_scorer[label] = ScorerStability(sum(taus) / len(taus), changes)
-
-    final = snaps[-1].rankings
-    agreement = {}
-    labels = trajectory.scorer_labels
-    for i, label_a in enumerate(labels):
-        for label_b in labels[i + 1 :]:
-            agreement[(label_a, label_b)] = _tau_or_one(
-                final[label_a].ids(), final[label_b].ids()
-            )
-    return StabilityReport(per_scorer, agreement)
+    fold = _StabilityFold(trajectory.scorer_labels)
+    for snapshot in trajectory.snapshots:
+        fold.add(snapshot)
+    return fold.report()

@@ -17,11 +17,14 @@ So do the simulation's event generator (a linear scan per weighted pick),
 the simulation itself (one ``apply_event`` per event, where the package
 applies one delta per answer between snapshots), its Kendall tau (an O(m^2)
 pair count), ``rank_answers`` (one score per answer, where the package
-scores each distinct tally once), ``rank`` (every field checked on its own
-and one ``AnswerEntry`` per line, where the package checks a well-formed
-line in one pass and ranks plain ``(up, down)`` columns) and ``replay``
-(every field checked on its own and one ``VoteEvent`` per line, where the
-package checks a well-formed line in one pass).
+scores each distinct tally once), ``rank`` (every line through the full
+decoder, every field checked on its own and one ``AnswerEntry`` per line,
+where the package decodes a well-formed line in one scanner call, checks it
+in one expression and ranks plain ``(up, down)`` columns), ``replay`` (every
+line through the full decoder, every field checked on its own and one
+``VoteEvent`` per line, where the package decodes and checks a well-formed
+line in one pass) and the stability report (lists of every snapshot's
+taus, where the package folds one snapshot at a time).
 """
 
 from __future__ import annotations
@@ -43,7 +46,13 @@ from spotrank.scoring import (
     combined_score,
     effective_maxima,
 )
-from spotrank.simulate import SIM_QUESTION_ID, SplitMix64
+from spotrank.simulate import (
+    SIM_QUESTION_ID,
+    ScorerStability,
+    SplitMix64,
+    StabilityReport,
+    TooFewSnapshotsError,
+)
 from spotrank.state import (
     AnswerEntry,
     NegativeCountError,
@@ -315,6 +324,43 @@ def simulate_reference(spec, scorers, cadence):
         if i % cadence == 0 or i == spec.total_events:
             snapshots.append((i, {label: state.rank(config) for label, config in scorers.items()}))
     return snapshots, state
+
+
+def stability_report_reference(trajectory) -> StabilityReport:
+    """Each scorer's list of adjacent-snapshot taus over the whole
+    trajectory, each tau over the ids both snapshots rank and counted by
+    :func:`kendall_tau_pairs`: the oracle for ``simulate.stability_report``,
+    which folds one snapshot at a time."""
+    snaps = trajectory.snapshots
+    if len(snaps) < 2:
+        raise TooFewSnapshotsError("need at least 2 snapshots to measure stability")
+
+    def tau_or_one(ids_a, ids_b):
+        common = set(ids_a) & set(ids_b)
+        if len(common) < 2:
+            return 1.0
+        return kendall_tau_pairs([i for i in ids_a if i in common],
+                                 [i for i in ids_b if i in common])
+
+    per_scorer = {}
+    for label in trajectory.scorer_labels:
+        taus = []
+        changes = 0
+        for prev, cur in zip(snaps, snaps[1:]):
+            ids_prev = prev.rankings[label].ids()
+            ids_cur = cur.rankings[label].ids()
+            taus.append(tau_or_one(ids_prev, ids_cur))
+            if ids_prev and ids_cur and ids_prev[0] != ids_cur[0]:
+                changes += 1
+        per_scorer[label] = ScorerStability(sum(taus) / len(taus), changes)
+
+    final = snaps[-1].rankings
+    agreement = {}
+    labels = trajectory.scorer_labels
+    for i, label_a in enumerate(labels):
+        for label_b in labels[i + 1 :]:
+            agreement[(label_a, label_b)] = tau_or_one(final[label_a].ids(), final[label_b].ids())
+    return StabilityReport(per_scorer, agreement)
 
 
 def replay_reference(lines, config=ScoringConfig()) -> tuple[int, str, str]:

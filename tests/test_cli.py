@@ -357,8 +357,9 @@ def test_rank_counts_beyond_int64_are_out_of_range(tmp_path, capsys, up, accepte
         assert err == "error: line 1: field 'up' is out of range\n"
 
 
-def _checked_path_only(monkeypatch):
-    """Send every rank and replay line through the field-by-field checks."""
+def _full_decoder_only(monkeypatch):
+    """Send every rank and replay line through the full decoder,
+    ``cli._parse_jsonl_line``, instead of one scanner call."""
     def no_scan(line, idx):
         raise StopIteration(idx)
     monkeypatch.setattr(cli, "_SCAN_ONCE", no_scan)
@@ -371,7 +372,7 @@ _TALLY_LINES = [
 ]
 _TALLY_2 = _TALLY_LINES[1]
 
-# line 2 of _TALLY_LINES replaced, with the stderr the field-by-field path
+# line 2 of _TALLY_LINES replaced, with the stderr the full-decoder path
 # gives (None marks a line that is accepted) and, where given, line 1
 # replaced too
 _BAD_TALLY_LINE_2 = {
@@ -418,7 +419,7 @@ def test_rank_bad_line_table(tmp_path, capsys, monkeypatch, case, one_pass):
     line, expected_err, *first = _BAD_TALLY_LINE_2[case]
     lines = [*(first or _TALLY_LINES[:1]), line, _TALLY_LINES[2]]
     if not one_pass:
-        _checked_path_only(monkeypatch)
+        _full_decoder_only(monkeypatch)
     path = tmp_path / "tallies.jsonl"
     # newline="" keeps the CR of the CRLF case on disk
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -720,7 +721,7 @@ _GOOD_LINES = [
 ]
 _LINE_2 = _GOOD_LINES[1]
 
-# line 2 of _GOOD_LINES replaced, with the stderr the field-by-field path
+# line 2 of _GOOD_LINES replaced, with the stderr the full-decoder path
 # gives; None marks a line that is accepted
 _BAD_LINE_2 = {
     "blank": ("\n", None),
@@ -759,7 +760,7 @@ _BAD_LINE_2 = {
 def test_replay_bad_line_table(tmp_path, capsys, monkeypatch, case, one_pass):
     line, expected_err = _BAD_LINE_2[case]
     if not one_pass:
-        _checked_path_only(monkeypatch)
+        _full_decoder_only(monkeypatch)
     path = tmp_path / "events.jsonl"
     # newline="" keeps the CR of the CRLF case on disk
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -786,9 +787,9 @@ def test_replay_one_pass_and_checked_paths_build_the_same_states(monkeypatch):
         for i in range(60)
     ]
     lines.insert(10, "\n")
-    lines.insert(20, "  " + lines[20])  # leading whitespace: the checked path only
+    lines.insert(20, "  " + lines[20])  # leading whitespace: the full decoder only
     fast = cli._replay_events(lines)
-    _checked_path_only(monkeypatch)
+    _full_decoder_only(monkeypatch)
     checked = cli._replay_events(lines)
     assert list(fast) == list(checked)
     for question_id, state in fast.items():
@@ -1308,6 +1309,67 @@ def test_simulate_trajectory_schema(tmp_path, capsys):
     assert report["agreement"][0]["scorers"] == ["wilson", "improved"]
 
 
+def _trajectory_line_reference(event_index, label, entries):
+    return json.dumps({
+        "event_index": event_index,
+        "scorer": label,
+        "ranking": [{"answer_id": answer_id, "combined": float(f"{combined:.12g}")}
+                    for answer_id, combined in entries],
+    }, sort_keys=True) + "\n"
+
+
+def _trajectory_line(event_index, label, entries):
+    return cli._trajectory_line(event_index, label, [
+        (answer_id, SimpleNamespace(combined=combined)) for answer_id, combined in entries])
+
+
+@pytest.mark.parametrize("answer_id", ['say "hi"', "back\\slash", "tab\tnl\ncr\r\x00\x1f\x7f",
+                                       "caf\u00e9 \u2028 \U0001f600", "", "\ufeff"])
+@pytest.mark.parametrize("combined", [0.5, -0.0, 0.0, 1 / 3, -1e-300, 5e-324])
+def test_trajectory_line_is_json_dumps_of_its_dict(answer_id, combined):
+    entries = [(answer_id, combined), ("plain", -0.0)]
+    for label in ("wilson", answer_id):
+        assert (_trajectory_line(17, label, entries)
+                == _trajectory_line_reference(17, label, entries))
+    assert _trajectory_line(0, "x", []) == _trajectory_line_reference(0, "x", [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_index=st.integers(0, 2**63 - 1), label=st.text(),
+       entries=st.lists(st.tuples(st.text(), st.floats()), max_size=5))
+def test_trajectory_line_matches_json_dumps(event_index, label, entries):
+    assert (_trajectory_line(event_index, label, entries)
+            == _trajectory_line_reference(event_index, label, entries))
+
+
+def test_simulate_memory_stays_at_one_snapshot(tmp_path):
+    # every snapshot's two rankings were kept until the run ended, about
+    # 17 MB over 500 snapshots of 50 answers; one snapshot at a time, the
+    # peak is the draw of the stream's blocks
+    import tracemalloc
+
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, [{"answer_id": f"a{i}", "up_probability": (i % 10 + 0.5) / 10,
+                            "arrival_weight": 1.0 + i % 7} for i in range(50)])
+
+    def simulate(cadence):
+        return main(["simulate", str(profiles), "--events", "5000", "--cadence", str(cadence),
+                     "--trajectory-out", str(tmp_path / "t.jsonl"),
+                     "--report-out", str(tmp_path / "r.json")])
+
+    simulate(5000)  # numpy and its caches load untraced
+    peaks = {}
+    for snapshots, cadence in ((2, 2500), (500, 10)):
+        tracemalloc.start()
+        try:
+            assert simulate(cadence) == 0
+            peaks[snapshots] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len((tmp_path / "t.jsonl").read_text(encoding="utf-8").splitlines()) == 2 * 500
+    assert peaks[500] < peaks[2] + 256 * 1024, f"traced peaks {peaks}"
+
+
 def test_simulate_single_answer_reports_perfect_tau(tmp_path, capsys):
     profiles = tmp_path / "profiles.jsonl"
     write_jsonl(profiles, [{"answer_id": "only", "up_probability": 1.0, "arrival_weight": 1.0}])
@@ -1358,7 +1420,7 @@ def test_simulate_outputs_naming_one_file_exit_2_before_any_work(tmp_path, capsy
     write_jsonl(profiles, PROFILES)
     (tmp_path / "sub").mkdir()
     (tmp_path / "link.jsonl").symlink_to(tmp_path / "t.jsonl")
-    monkeypatch.setattr(cli, "simulate", lambda *args: pytest.fail("simulated"))
+    monkeypatch.setattr(cli, "_snapshot_stream", lambda *args: pytest.fail("simulated"))
     rc, out, err = run(capsys, "simulate", str(profiles), "--events", "60", "--cadence", "20",
                        "--trajectory-out", str(tmp_path / "t.jsonl"),
                        "--report-out", str(tmp_path / report_out))
@@ -1596,6 +1658,24 @@ def test_closed_fd_1_fails_only_the_commands_that_write_stdout(tmp_path, command
         assert result.stderr == "error: stdout was closed before all output was written\n"
         if command == "sweep":
             assert list(out.iterdir()) == []  # written grids were rolled back
+
+
+@pytest.mark.parametrize("fd_2", ["closed", "read-only"])
+@pytest.mark.parametrize("up, rc", [("x", 2), ("1", 0)], ids=["bad-input", "good-input"])
+def test_unwritable_fd_2_keeps_the_exit_code_and_stdout(fd_2, up, rc):
+    def start():
+        os.close(2)  # the child starts with no fd 2, as `2>&-` leaves it
+        if fd_2 == "read-only":  # fd 2 open but unwritable: stderr exists, its writes fail
+            os.open(os.devnull, os.O_RDONLY)  # the lowest free fd, 2
+
+    result = subprocess.run(
+        [sys.executable, "-m", "spotrank", "score", "--up", up, "--down", "0"], preexec_fn=start,
+        stdout=subprocess.PIPE, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == rc
+    # the error line goes nowhere, never to stdout
+    assert result.stdout == ("" if rc else "wilson_lower 0.200000\nwilson_upper 1.000000\n"
+                                           "si 1.000000\ncombined 0.600000\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

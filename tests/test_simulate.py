@@ -18,12 +18,14 @@ from spotrank.simulate import (
     StreamSpec,
     TooFewElementsError,
     TooFewSnapshotsError,
+    Trajectory,
+    TrajectorySnapshot,
     generate_events,
     kendall_tau,
     simulate,
     stability_report,
 )
-from spotrank.state import QuestionState
+from spotrank.state import QuestionState, RankedList
 
 WILSON = ScoringConfig(z=2.0, p_weight=1.0)
 BLEND = ScoringConfig(z=2.0, p_weight=0.5)
@@ -359,6 +361,39 @@ def test_rank_one_changes_counted():
     tops = [snap.rankings["blend"].ids()[0] for snap in trajectory.snapshots]
     expected = sum(1 for prev, cur in zip(tops, tops[1:]) if prev != cur)
     assert report.per_scorer["blend"].rank_one_changes == expected
+
+
+_POOL = [f"id{i}" for i in range(9)]
+
+
+@st.composite
+def _trajectories(draw):
+    """One or three scorers over 1 to 40 snapshots; each snapshot ranks the
+    answers that have appeared so far, which grow mid-stream, so adjacent
+    snapshots may not rank the same set."""
+    labels = draw(st.sampled_from([("only",), ("a", "b", "c")]))
+    snapshots = []
+    size = 0
+    for index in range(draw(st.integers(1, 40))):
+        size = draw(st.integers(size, len(_POOL)))
+        rankings = {label: RankedList(tuple((answer_id, None) for answer_id in
+                                            draw(st.permutations(_POOL[:size]))), BLEND, None)
+                    for label in labels}
+        snapshots.append(TrajectorySnapshot(index, rankings))
+    return Trajectory(tuple(snapshots), QuestionState("q"), labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectory=_trajectories())
+def test_stability_fold_matches_list_oracle(trajectory):
+    if len(trajectory.snapshots) < 2:
+        for report in (stability_report, helpers.stability_report_reference):
+            with pytest.raises(TooFewSnapshotsError):
+                report(trajectory)
+        return
+    # repr spells every float exactly, -0.0 included
+    assert repr(stability_report(trajectory)) == repr(
+        helpers.stability_report_reference(trajectory))
 
 
 _STABILITY_STUDY = Path(__file__).resolve().parent.parent / "scripts" / "stability_study.py"
