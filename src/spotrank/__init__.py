@@ -41,7 +41,6 @@ from .state import (
     UnknownQuestionError,
     VoteEvent,
     rank_answers,
-    scan_maxima,
 )
 from .grids import (
     AverageRatingScorer,

@@ -477,23 +477,17 @@ def _emit_ranking(tallies: Mapping[str, tuple[int, int]], config: ScoringConfig,
     gives for the same dict, formatted without building the dict.
     ``tallies`` maps each answer id to its ``(up, down)`` in creation order."""
     ids, counts = list(tallies), list(tallies.values())
-    order, breakdowns, _ = _rank_counts(counts, config)
+    order, scored, _ = _rank_counts(counts, config)
     start = "{" if question_id is None else f'{{"question_id": {_json_str(question_id)}, '
-    # answers with equal tallies share a breakdown, so its scores are
-    # formatted once; keyed by identity, since ``breakdowns`` keeps every
-    # breakdown alive and equal tallies are not assumed to share one
-    scores: dict[int, str] = {}
+    scores = {
+        key: f'"wilson_lower": {_json12(breakdown.wilson.lower)}, '
+             f'"si": {_json12(breakdown.si)}, "combined": {_json12(breakdown.combined)}}}\n'
+        for key, breakdown in scored.items()
+    }
     for position, i in enumerate(order, start=1):
-        breakdown = breakdowns[i]
-        text = scores.get(id(breakdown))
-        if text is None:
-            text = scores[id(breakdown)] = (
-                f'"wilson_lower": {_json12(breakdown.wilson.lower)}, '
-                f'"si": {_json12(breakdown.si)}, "combined": {_json12(breakdown.combined)}}}\n'
-            )
-        up, down = counts[i]
+        up, down = key = counts[i]
         out.write(f'{start}"rank": {position}, "answer_id": {_json_str(ids[i])}, '
-                  f'"up": {up}, "down": {down}, {text}')
+                  f'"up": {up}, "down": {down}, {scores[key]}')
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -624,7 +618,7 @@ def _build_grid_spec(opts: dict[str, Any]) -> GridSpec:
     u_max = n_max if opts["u-max"] is None else opts["u-max"]
     d_max = n_max if opts["d-max"] is None else opts["d-max"]
     try:
-        maxima = effective_maxima(n_max, u_max, d_max)
+        maxima = effective_maxima(n_max, u_max, d_max, config.n_max_floor)
         return GridSpec(opts["u-range"], opts["d-range"], maxima, opts["scorer"](config),
                         opts["step"])
     except ValueError as exc:

@@ -40,8 +40,11 @@ from .scoring import (
     SiKind,
     SiTransform,
     WholeSiVariant,
+    _UNVOTED,
+    _blend,
     _si_of_count,
     _si_parts,
+    _valid_z,
     _wilson_roots,
     check_coverage,
     validate_config,
@@ -62,7 +65,7 @@ class WilsonScorer:
     bound: Bound = Bound.LOWER
 
     def __post_init__(self):
-        if self.z < 0:
+        if not _valid_z(self.z):
             raise ValueError("z must be non-negative")
 
 
@@ -187,20 +190,12 @@ class SweepSpec:
             yield point, replace(base, scorer=ImprovedScorer(point.config(base_config)))
 
 
-def _average_grid(U: np.ndarray, D: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    return U / np.maximum(U + D, 1.0)  # 0/1 at the unvoted origin
-
-
 def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> np.ndarray:
     import numpy as np
 
     N = U + D
-    p, lower, upper = _wilson_roots(U, np.maximum(N, 1.0), z, np.sqrt)
-    if bound is Bound.LOWER:
-        return np.where(N > 0, np.maximum(0.0, np.minimum(lower, p)), 0.0)
-    return np.where(N > 0, np.minimum(1.0, np.maximum(upper, p)), 1.0)
+    lower, upper = _wilson_roots(U, np.maximum(N, 1.0), z, np.sqrt, np.maximum, np.minimum)
+    return np.where(N > 0, lower if bound is Bound.LOWER else upper, _UNVOTED.pick(bound))
 
 
 def _metadata(spec: GridSpec) -> dict[str, str]:
@@ -263,10 +258,12 @@ def _row_blocks(spec: GridSpec) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, 
     D = d_values.astype(np.float64)[None, :]
     per_block = max(1, _BLOCK_CELLS // cols)
 
+    config = None
     if isinstance(scorer, ImprovedScorer):
         # every count is a multiple of step, so the scalar kernel runs once
         # per distinct multiple and the cells gather from that table
         config = scorer.config
+        z, bound = config.z, config.bound
         transform = config.si_transform
 
         def si_parts(i: np.ndarray, j: np.ndarray):
@@ -280,22 +277,22 @@ def _row_blocks(spec: GridSpec) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, 
         table = np.fromiter((_si_of_count(k * step, top, transform, variant)
                              for k in range(lo, hi + 1)), np.float64, hi - lo + 1)
         j = np.arange(cols)[None, :]
+    elif isinstance(scorer, WilsonScorer):
+        z, bound = scorer.z, scorer.bound
+    else:  # the average rating is the Wilson lower bound at z = 0, bit for bit
+        z, bound = 0.0, Bound.LOWER
 
     def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for start in range(0, rows, per_block):
             i = np.arange(start, min(start + per_block, rows))
             u_values = i * np.int64(step)
             U = u_values.astype(np.float64)[:, None]
-            if isinstance(scorer, AverageRatingScorer):
-                scores = _average_grid(U, D)
-            elif isinstance(scorer, WilsonScorer):
-                scores = _wilson_bound_grid(U, D, scorer.z, scorer.bound)
-            else:
-                w = _wilson_bound_grid(U, D, config.z, config.bound)
+            scores = _wilson_bound_grid(U, D, z, bound)
+            if config is not None:
                 count, _, negate, _ = si_parts(i[:, None], j)
                 si = table[count - lo]
                 np.negative(si, out=si, where=negate)
-                scores = config.p_weight * w + (1.0 - config.p_weight) * si
+                scores = _blend(config.p_weight, scores, si)
             yield u_values, scores
 
     return d_values, blocks()

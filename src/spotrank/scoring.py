@@ -14,6 +14,7 @@ same question.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -177,37 +178,49 @@ class ScoreBreakdown:
     combined: float
 
 
-def _wilson_roots(up, n, z: float, sqrt):
-    """Sample proportion and both unclamped roots for n > 0 votes.
+def _wilson_roots(up, n, z: float, sqrt, maximum, minimum):
+    """Both clamped bounds of the Wilson interval for n > 0 votes.
 
-    Only ``+ - * /`` and ``sqrt``, which numpy rounds exactly as Python does,
-    so a grid that passes arrays and ``np.sqrt`` gets the scalar bits.
+    Only ``+ - * /``, ``sqrt`` and the clamps ``maximum``/``minimum``, which
+    numpy rounds and picks exactly as Python does, so a grid that passes
+    arrays and numpy's functions gets the scalar bits.  The exact roots
+    bracket p and lie in [0, 1]; the clamps shave float dust only.
     """
     p = up / n
     zz = z * z
     center = p + zz / (2.0 * n)
     spread = (z / (2.0 * n)) * sqrt(4.0 * n * p * (1.0 - p) + zz)
     denom = 1.0 + zz / n
-    return p, (center - spread) / denom, (center + spread) / denom
+    return (maximum(0.0, minimum((center - spread) / denom, p)),
+            minimum(1.0, maximum((center + spread) / denom, p)))
+
+
+_FLOAT_MAX = sys.float_info.max  # an int beyond float range fails _valid_z too
+_UNVOTED = WilsonInterval(0.0, 1.0)  # no votes: total uncertainty
+
+
+def _valid_z(z: float) -> bool:
+    """The one rule for z, a finite non-negative real; one comparison chain,
+    since :func:`wilson_interval` checks it once per tally."""
+    return 0.0 <= z <= _FLOAT_MAX
 
 
 def wilson_interval(tally: VoteTally, z: float) -> WilsonInterval:
     """Both bounds of the Wilson score interval for the up-vote proportion.
 
-    With no votes the interval is (0, 1), total uncertainty.  Otherwise
+    With no votes the interval is (0, 1).  Otherwise
 
         (p + z^2/2n +- z/2n * sqrt(4n*p*(1-p) + z^2)) / (1 + z^2/n)
 
-    which with z = 0 collapses to the sample proportion exactly.
+    which with z = 0 collapses to the sample proportion exactly.  ``z`` must
+    be a finite non-negative real.
     """
-    if z < 0:
+    if not _valid_z(z):
         raise ValueError("z must be non-negative")
     n = tally.n
     if n == 0:
-        return WilsonInterval(0.0, 1.0)
-    p, lower, upper = _wilson_roots(tally.up, n, z, math.sqrt)
-    # the exact roots bracket p and lie in [0, 1]; clamps shave float dust only
-    return WilsonInterval(max(0.0, min(lower, p)), min(1.0, max(upper, p)))
+        return _UNVOTED
+    return WilsonInterval(*_wilson_roots(tally.up, n, z, math.sqrt, max, min))
 
 
 def average_rating(tally: VoteTally) -> float:
@@ -328,10 +341,15 @@ def si_range(kind: SiKind, transform: SiTransform = LINEAR) -> tuple[float, floa
     return (-1.0, 0.0)
 
 
+def _blend(p_weight, w, si):
+    """The score's one blend, for floats and numpy columns alike."""
+    return p_weight * w + (1.0 - p_weight) * si
+
+
 def combined_range(kind: SiKind, p_weight: float) -> tuple[float, float]:
     """Attainable range of the blended score for a given kind and weight."""
     si_lo, si_hi = si_range(kind)
-    return (p_weight * 0.0 + (1.0 - p_weight) * si_lo, p_weight * 1.0 + (1.0 - p_weight) * si_hi)
+    return (_blend(p_weight, 0.0, si_lo), _blend(p_weight, 1.0, si_hi))
 
 
 def combined_score(tally: VoteTally, maxima: Maxima, config: ScoringConfig) -> ScoreBreakdown:
@@ -343,15 +361,14 @@ def combined_score(tally: VoteTally, maxima: Maxima, config: ScoringConfig) -> S
     interval = wilson_interval(tally, config.z)
     used = interval.pick(config.bound)
     si = spotlight_index(tally, maxima, config.si_kind, config.si_transform, config.whole_variant)
-    combined = config.p_weight * used + (1.0 - config.p_weight) * si
-    return ScoreBreakdown(interval, used, si, combined)
+    return ScoreBreakdown(interval, used, si, _blend(config.p_weight, used, si))
 
 
 def validate_config(config: ScoringConfig) -> ScoringConfig:
     """Check every config invariant; returns the config unchanged if valid."""
     if not (math.isfinite(config.p_weight) and 0.0 <= config.p_weight <= 1.0):
         raise ConfigError("p_weight", f"must be in [0, 1], got {config.p_weight}")
-    if not (math.isfinite(config.z) and config.z >= 0.0):
+    if not _valid_z(config.z):
         raise ConfigError("z", f"must be a non-negative real, got {config.z}")
     if config.si_transform.name == "poly" and not (
         math.isfinite(config.si_transform.exponent) and config.si_transform.exponent > 0.0

@@ -95,11 +95,10 @@ def rank_answers(
     # sorted stably by created_seq, an answer's position breaks ties as its
     # created_seq does, and answers with equal seqs keep their input order
     entries = sorted(answers, key=lambda entry: entry.created_seq)
-    order, breakdowns, maxima = _rank_counts(
-        [(entry.tally.up, entry.tally.down) for entry in entries], config, raw_maxima
-    )
+    counts = [(entry.tally.up, entry.tally.down) for entry in entries]
+    order, scored, maxima = _rank_counts(counts, config, raw_maxima)
     return RankedList(
-        tuple((entries[i].answer_id, breakdowns[i]) for i in order), config, maxima
+        tuple((entries[i].answer_id, scored[counts[i]]) for i in order), config, maxima
     )
 
 
@@ -107,16 +106,15 @@ def _rank_counts(
     counts: Sequence[tuple[int, int]],
     config: ScoringConfig,
     raw_maxima: tuple[int, int, int] | None = None,
-) -> tuple[list[int], list[ScoreBreakdown], Maxima]:
+) -> tuple[list[int], dict[tuple[int, int], ScoreBreakdown], Maxima]:
     """The ranking kernel: the positions of ``counts`` in rank order, the
-    breakdown of each position and the floored maxima they were scored
-    against.
+    breakdown of each distinct ``(up, down)`` and the floored maxima they
+    were scored against.
 
     Positions order by higher combined score, then higher up-count, then
     lower position.  When ``raw_maxima`` is omitted it is computed from the
     counts.  Under one maxima snapshot the score depends on the tally alone,
-    so each distinct ``(up, down)`` is scored once and its positions share
-    the breakdown.
+    so each distinct ``(up, down)`` is scored once.
     """
     if raw_maxima is None:
         raw_maxima = _max_counts(counts)
@@ -129,12 +127,7 @@ def _rank_counts(
     # equal keys stay in position order
     sort_keys = {key: (-breakdown.combined, -key[0]) for key, breakdown in scored.items()}
     order = sorted(range(len(counts)), key=[sort_keys[key] for key in counts].__getitem__)
-    return order, [scored[key] for key in counts], maxima
-
-
-def scan_maxima(answers: Iterable[AnswerEntry]) -> tuple[int, int, int]:
-    """Brute-force (n_max, u_max, d_max) over a collection; (0, 0, 0) when empty."""
-    return _max_counts((entry.tally.up, entry.tally.down) for entry in answers)
+    return order, scored, maxima
 
 
 def _max_counts(counts: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
@@ -158,8 +151,7 @@ class QuestionState:
     order is the creation order, which makes an answer's position its
     ``created_seq``.  :meth:`rank` reads the tuples as they are;
     :class:`AnswerEntry` views are built only by :meth:`entries`.  No maxima
-    are kept: ``raw_n_max``, ``raw_u_max`` and ``raw_d_max`` each scan the
-    tallies.
+    are kept: :meth:`recompute_maxima` scans the tallies.
     """
 
     def __init__(self, question_id: str):
@@ -213,23 +205,11 @@ class QuestionState:
         (0, 0, 0) when there are no answers."""
         return _max_counts(self._counts.values())
 
-    @property
-    def raw_n_max(self) -> int:
-        return self.recompute_maxima()[0]
-
-    @property
-    def raw_u_max(self) -> int:
-        return self.recompute_maxima()[1]
-
-    @property
-    def raw_d_max(self) -> int:
-        return self.recompute_maxima()[2]
-
     def rank(self, config: ScoringConfig) -> RankedList:
         """Rank all answers under the maxima of their tallies, floored per config."""
-        order, breakdowns, maxima = _rank_counts(list(self._counts.values()), config)
-        ids = list(self._counts)
-        return RankedList(tuple((ids[i], breakdowns[i]) for i in order), config, maxima)
+        ids, counts = list(self._counts), list(self._counts.values())
+        order, scored, maxima = _rank_counts(counts, config)
+        return RankedList(tuple((ids[i], scored[counts[i]]) for i in order), config, maxima)
 
     def snapshot(self) -> QuestionSnapshot:
         return QuestionSnapshot(

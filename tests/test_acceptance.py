@@ -228,7 +228,7 @@ def test_criterion_08_online_coherence():
             max((c[0] for c in shadow.values()), default=0),
             max((c[1] for c in shadow.values()), default=0),
         )
-        if (state.raw_n_max, state.raw_u_max, state.raw_d_max) != brute:
+        if state.recompute_maxima() != brute:
             mismatches += 1
 
     # replay/batch equivalence on a non-negative stream

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from helpers import brute_maxima, rank_reference, ranking_reference, replay_reference
 from spotrank import cli
 from spotrank.cli import main
-from spotrank.scoring import LOG10, ScoringConfig, SiKind, SiTransform, VoteTally, si_range
+from spotrank.scoring import (EXP, LINEAR, LOG10, ScoringConfig, SiKind, SiTransform, VoteTally,
+                              combined_score, effective_maxima, poly, si_range)
 from spotrank.state import AnswerEntry, QuestionState, VoteEvent, rank_answers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -194,15 +195,15 @@ def test_rank_output_bytes_match_json_dumps(tmp_path, capsys):
     assert out == ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries})
 
 
-def _fake_ranking(monkeypatch, ranked_entries, file_ids):
+def _fake_ranking(monkeypatch, ranked_entries, tallies):
     """Make the ranking kernel behind ``rank`` return ``ranked_entries``
-    (answer id, breakdown) for the answers ``file_ids``, in file order."""
-    position = {answer_id: i for i, answer_id in enumerate(file_ids)}
-    breakdowns = [None] * len(file_ids)
-    for answer_id, breakdown in ranked_entries:
-        breakdowns[position[answer_id]] = breakdown
+    (answer id, breakdown) for the answers ``tallies`` (id -> tally), in
+    file order."""
+    position = {answer_id: i for i, answer_id in enumerate(tallies)}
+    scored = {(tallies[answer_id].up, tallies[answer_id].down): breakdown
+              for answer_id, breakdown in ranked_entries}
     order = [position[answer_id] for answer_id, _ in ranked_entries]
-    monkeypatch.setattr(cli, "_rank_counts", lambda *args: (order, breakdowns, None))
+    monkeypatch.setattr(cli, "_rank_counts", lambda *args: (order, scored, None))
 
 
 def test_rank_output_bytes_match_json_dumps_on_special_floats(tmp_path, capsys, monkeypatch):
@@ -211,16 +212,17 @@ def test_rank_output_bytes_match_json_dumps_on_special_floats(tmp_path, capsys, 
         "b": (5e-324, -math.inf, 1e22),
         "c": (0.1 + 0.2, 1.7976931348623157e308, -123456789012345.6),
     }
+    tallies = {"a": VoteTally(1, 0), "b": VoteTally(2, 0), "c": VoteTally(0, 1)}
     fake = tuple(
         (answer_id, SimpleNamespace(wilson=SimpleNamespace(lower=w), si=si, combined=c))
         for answer_id, (w, si, c) in scores.items()
     )
     path = tmp_path / "tallies.jsonl"
-    write_jsonl(path, [{"answer_id": a, "up": 1, "down": 0} for a in scores])
-    _fake_ranking(monkeypatch, fake, list(scores))
+    write_jsonl(path, [{"answer_id": a, "up": t.up, "down": t.down} for a, t in tallies.items()])
+    _fake_ranking(monkeypatch, fake, tallies)
     rc, out, err = run(capsys, "rank", str(path))
     assert rc == 0 and err == ""
-    assert out == ranking_reference(fake, {a: VoteTally(1, 0) for a in scores})
+    assert out == ranking_reference(fake, tallies)
     assert "NaN" in out and "-Infinity" in out and '"wilson_lower": -0.0' in out
 
 
@@ -230,7 +232,7 @@ def test_rank_prints_each_rows_own_tally_when_a_breakdown_is_shared(tmp_path, ca
     fake = tuple((answer_id, shared) for answer_id in ("c", "a", "b"))
     path = tmp_path / "tallies.jsonl"
     write_jsonl(path, [{"answer_id": a, "up": t.up, "down": t.down} for a, t in tallies.items()])
-    _fake_ranking(monkeypatch, fake, list(tallies))
+    _fake_ranking(monkeypatch, fake, tallies)
     rc, out, err = run(capsys, "rank", str(path))
     assert rc == 0 and err == ""
     assert out == ranking_reference(fake, tallies)
@@ -871,6 +873,34 @@ def test_grid_coverage_is_checked_at_the_last_cell(capsys):
     assert grid_data_lines(out)[-1].startswith("7,7,")
     assert run(capsys, "grid", "--u-range", "10", "--d-range", "10", "--step", "7",
                "--n-max", "13") == (2, "", "error: n_max=13 cannot cover u+d up to 14 for kind whole\n")
+
+
+@pytest.mark.parametrize("floor", [1, 5, 50])
+def test_grid_and_sweep_cells_are_combined_score_under_the_floored_maxima(tmp_path, capsys,
+                                                                          floor):
+    # floor 5 lifts u_max only; floor 50 lifts every maximum past --n-max
+    flags = ["--u-range", "3", "--d-range", "3", "--n-max", "6", "--u-max", "4", "--d-max", "5",
+             "--n-max-floor", str(floor), "--poly-a", "2"]
+    maxima = effective_maxima(6, 4, 5, floor)
+    out_dir = tmp_path / "grids"
+    rc, _, err = run(capsys, "sweep", *flags, "--z-values", "2", "--p-values", "0.5",
+                     "--kinds", ",".join(kind.value for kind in SiKind),
+                     "--transforms", "linear,log,exp,poly", "--out-dir", str(out_dir))
+    assert (rc, err) == (0, "")
+    for kind in SiKind:
+        for transform in (LINEAR, LOG10, EXP, poly(2.0)):
+            config = ScoringConfig(si_kind=kind, si_transform=transform, n_max_floor=floor)
+            rc, out, err = run(capsys, "grid", *flags, "--kind", kind.value,
+                               "--transform", transform.name)
+            assert (rc, err) == (0, "")
+            assert grid_data_lines(out)[1:] == [
+                f"{u},{d},{combined_score(VoteTally(u, d), maxima, config).combined:.12g}"
+                for u in range(4) for d in range(4)
+            ]
+            assert {f"# n_max: {maxima.n_max}", f"# u_max: {maxima.u_max}",
+                    f"# d_max: {maxima.d_max}"} <= set(out.splitlines())
+            slug = transform.name + ("2" if transform.name == "poly" else "")
+            assert (out_dir / f"grid_z2_p0.5_{kind.value}_{slug}.csv").read_text(encoding="utf-8") == out
 
 
 def test_grid_writes_file(tmp_path, capsys):

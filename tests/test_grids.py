@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -250,6 +251,16 @@ def test_baselines_need_no_maxima_coverage():
     maxima = Maxima(1, 1, 1)
     grid_scores(GridSpec(50, 50, maxima, WilsonScorer(2.0), 1))
     grid_scores(GridSpec(50, 50, maxima, AverageRatingScorer(), 1))
+
+
+@pytest.mark.parametrize("z", [-1.0, math.nan, math.inf, -math.inf],
+                         ids=["-1", "nan", "inf", "-inf"])
+def test_z_outside_the_config_rule_is_refused_by_every_grid_scorer(z):
+    with pytest.raises(ValueError, match="^z must be non-negative$"):
+        WilsonScorer(z)
+    with pytest.raises(ConfigError) as exc_info:
+        grid_scores(improved_spec(u_range=2, d_range=2, n_max=10, z=z))
+    assert exc_info.value.field == "z"
 
 
 def test_invalid_geometry_rejected():

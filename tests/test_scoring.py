@@ -87,6 +87,21 @@ def test_negative_z_rejected():
         wilson_interval(VoteTally(1, 1), -0.5)
 
 
+@pytest.mark.parametrize("z", [-1.0, math.nan, math.inf, -math.inf, 2**1024],
+                         ids=["-1", "nan", "inf", "-inf", "2**1024"])
+def test_z_outside_the_config_rule_is_refused_by_every_scalar_entry_point(z):
+    with pytest.raises(ValueError, match="^z must be non-negative$"):
+        wilson_interval(VoteTally(3, 1), z)
+    with pytest.raises(ValueError, match="^z must be non-negative$"):
+        wilson_interval(VoteTally(0, 0), z)
+    with pytest.raises(ValueError, match="^z must be non-negative$"):
+        combined_score(VoteTally(3, 1), Maxima(4, 3, 1), ScoringConfig(z=z))
+    with pytest.raises(ConfigError) as exc_info:
+        validate_config(ScoringConfig(z=z))
+    assert (exc_info.value.field, exc_info.value.reason) == (
+        "z", f"must be a non-negative real, got {z}")
+
+
 @pytest.mark.parametrize("z", [1.0, 2.0, 5.0, 10.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 100, 999, 1000])
 def test_extreme_proportion_closed_forms(n, z):
@@ -146,6 +161,13 @@ def test_lower_bound_monotone_exhaustive(z):
 )
 def test_average_rating(up, down, expected):
     assert average_rating(VoteTally(up, down)) == expected
+
+
+@given(up=st.integers(0, 2**63 - 1), down=st.integers(0, 2**63 - 1))
+def test_average_rating_is_the_zero_z_lower_bound_bit_for_bit(up, down):
+    # the grids evaluate the average rating as this bound
+    tally = VoteTally(up, down)
+    assert bits(average_rating(tally)) == bits(wilson_interval(tally, 0.0).lower)
 
 
 # --- effective maxima --------------------------------------------------------
@@ -529,6 +551,14 @@ def test_combined_respects_blend_and_range(case, p_weight, z, kind, transform):
 )
 def test_combined_range_values(kind, p_weight, expected):
     assert combined_range(kind, p_weight) == pytest.approx(expected, abs=0)
+
+
+@given(kind=st.sampled_from(ALL_KINDS), p_weight=st.floats(0, 1))
+def test_combined_range_is_the_blend_of_its_endpoints(kind, p_weight):
+    si_lo, si_hi = si_range(kind)
+    lo, hi = combined_range(kind, p_weight)
+    assert bits(lo) == bits(p_weight * 0.0 + (1.0 - p_weight) * si_lo)
+    assert bits(hi) == bits(p_weight * 1.0 + (1.0 - p_weight) * si_hi)
 
 
 # --- config validation -------------------------------------------------------

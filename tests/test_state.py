@@ -15,7 +15,6 @@ from spotrank.state import (
     UnknownQuestionError,
     VoteEvent,
     rank_answers,
-    scan_maxima,
 )
 
 
@@ -44,28 +43,28 @@ def build_state(*tallies):
 def test_first_vote_sets_all_maxima():
     state = QuestionState("q")
     state.apply_event(event("a", up=1))
-    assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == (1, 1, 0)
+    assert state.recompute_maxima() == (1, 1, 0)
     assert state.tally("a") == VoteTally(1, 0)
 
 
 def test_vote_below_maximum_leaves_maxima_alone():
     state = build_state(("b", 90, 10), ("a", 30, 10))
     state.apply_event(event("a", up=1))
-    assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == (100, 90, 10)
+    assert state.recompute_maxima() == (100, 90, 10)
 
 
 def test_retraction_of_unique_max_holder_rescans():
     state = build_state(("a", 50, 0), ("b", 30, 5), ("c", 10, 2))
     state.apply_event(event("a", up=-1))
-    assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == brute_maxima(state.entries())
-    assert state.raw_n_max == 49
+    assert state.recompute_maxima() == brute_maxima(state.entries())
+    assert state.recompute_maxima()[0] == 49
 
 
 def test_retraction_of_tied_max_keeps_value():
     state = build_state(("a", 40, 0), ("b", 40, 0))
     state.apply_event(event("a", up=-1))
-    assert state.raw_n_max == 40  # b still holds 40
-    assert state.raw_u_max == 40
+    assert state.recompute_maxima()[0] == 40  # b still holds 40
+    assert state.recompute_maxima()[1] == 40
 
 
 def test_state_holds_tallies_only():
@@ -128,8 +127,8 @@ def test_recompute_examples():
 def test_u_max_and_d_max_from_different_answers():
     state = build_state(("a", 9, 1), ("b", 2, 8))
     assert state.recompute_maxima() == (10, 9, 8)
-    assert state.raw_u_max == 9
-    assert state.raw_d_max == 8
+    assert state.recompute_maxima()[1] == 9
+    assert state.recompute_maxima()[2] == 8
 
 
 def test_empty_question_maxima_are_zero():
@@ -153,7 +152,7 @@ def test_caches_always_match_full_rescan(steps):
             state.apply_event(event(f"a{answer_index}", up=up_delta, down=down_delta))
         except NegativeCountError:
             pass
-        assert (state.raw_n_max, state.raw_u_max, state.raw_d_max) == brute_maxima(state.entries())
+        assert state.recompute_maxima() == brute_maxima(state.entries())
 
 
 @settings(max_examples=30, deadline=None)
@@ -184,11 +183,7 @@ def test_order_insensitive_for_additive_events(events_spec, seed):
     tallies_b = {e.answer_id: e.tally for e in state_b.entries()}
     assert tallies_a == tallies_b
     assert state_a.recompute_maxima() == state_b.recompute_maxima()
-    assert (state_a.raw_n_max, state_a.raw_u_max, state_a.raw_d_max) == (
-        state_b.raw_n_max,
-        state_b.raw_u_max,
-        state_b.raw_d_max,
-    )
+    assert state_a.recompute_maxima() == state_b.recompute_maxima()
 
 
 # --- rank ---------------------------------------------------------------------
@@ -430,4 +425,3 @@ def test_snapshot_maxima_match_rescan_of_snapshot_entries():
     state.apply_event(event("b", up=-1))
     snap = state.snapshot()
     assert (snap.raw_n_max, snap.raw_u_max, snap.raw_d_max) == brute_maxima(snap.entries)
-    assert scan_maxima(snap.entries) == brute_maxima(snap.entries)
