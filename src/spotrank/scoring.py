@@ -195,7 +195,9 @@ def _wilson_roots(up, n, z: float, sqrt, maximum, minimum):
             minimum(1.0, maximum((center + spread) / denom, p)))
 
 
-_FLOAT_MAX = sys.float_info.max  # an int beyond float range fails _valid_z too
+# the upper end of every real parameter's one comparison chain: NaN fails
+# every comparison, and +-inf and an int beyond float range fail the bound
+_FLOAT_MAX = sys.float_info.max
 _UNVOTED = WilsonInterval(0.0, 1.0)  # no votes: total uncertainty
 
 
@@ -213,7 +215,9 @@ def wilson_interval(tally: VoteTally, z: float) -> WilsonInterval:
         (p + z^2/2n +- z/2n * sqrt(4n*p*(1-p) + z^2)) / (1 + z^2/n)
 
     which with z = 0 collapses to the sample proportion exactly.  ``z`` must
-    be a finite non-negative real.
+    be a finite non-negative real.  The counts are exact ints, but the
+    arithmetic converts the vote total to float: a total such as ``2**1000``
+    scores, and one past float range (``10**400``) raises ``OverflowError``.
     """
     if not _valid_z(z):
         raise ValueError("z must be non-negative")
@@ -366,17 +370,14 @@ def combined_score(tally: VoteTally, maxima: Maxima, config: ScoringConfig) -> S
 
 def validate_config(config: ScoringConfig) -> ScoringConfig:
     """Check every config invariant; returns the config unchanged if valid."""
-    if not (math.isfinite(config.p_weight) and 0.0 <= config.p_weight <= 1.0):
+    if not 0.0 <= config.p_weight <= 1.0:
         raise ConfigError("p_weight", f"must be in [0, 1], got {config.p_weight}")
     if not _valid_z(config.z):
         raise ConfigError("z", f"must be a non-negative real, got {config.z}")
-    if config.si_transform.name == "poly" and not (
-        math.isfinite(config.si_transform.exponent) and config.si_transform.exponent > 0.0
-    ):
+    exponent = config.si_transform.exponent
+    if config.si_transform.name == "poly" and not 0.0 < exponent <= _FLOAT_MAX:
         raise ConfigError(
-            "si_transform.exponent",
-            f"poly transform needs a positive exponent, got {config.si_transform.exponent}",
-        )
+            "si_transform.exponent", f"poly transform needs a positive exponent, got {exponent}")
     if config.n_max_floor < 1:
         raise ConfigError("n_max_floor", f"must be >= 1, got {config.n_max_floor}")
     return config

@@ -28,12 +28,11 @@ comes (the CLI) holds one at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scoring import ScoringConfig, validate_config
+from .scoring import _FLOAT_MAX, ScoringConfig, validate_config
 from .state import QuestionState, RankedList, VoteEvent
 
 SIM_QUESTION_ID = "sim"
@@ -88,7 +87,7 @@ class AnswerProfile:
         if not 0.0 <= self.up_probability <= 1.0:
             raise ValueError(f"up_probability must be in [0, 1], got {self.up_probability}")
         # from an infinite weight on, every running sum is infinite: no pick lands on it
-        if not (self.arrival_weight > 0.0 and math.isfinite(self.arrival_weight)):
+        if not 0.0 < self.arrival_weight <= _FLOAT_MAX:
             raise ValueError(f"arrival_weight must be positive and finite, got {self.arrival_weight}")
 
 
@@ -198,13 +197,10 @@ def _apply_window(state: QuestionState, ids: list[str], picks: np.ndarray,
     order."""
     import numpy as np
 
-    up = np.bincount(picks[is_up], minlength=len(ids))
-    down = np.bincount(picks[~is_up], minlength=len(ids))
-    touched, first = np.unique(picks, return_index=True)
-    touched = touched[np.argsort(first)]
-    for k, up_delta, down_delta in zip(touched.tolist(), up[touched].tolist(),
-                                       down[touched].tolist()):
-        state.apply_delta(ids[k], up_delta, down_delta)
+    up = np.bincount(picks[is_up], minlength=len(ids)).tolist()
+    down = np.bincount(picks[~is_up], minlength=len(ids)).tolist()
+    for k in dict.fromkeys(picks.tolist()):
+        state.apply_delta(ids[k], up[k], down[k])
 
 
 def simulate(

@@ -1,10 +1,12 @@
 import math
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from spotrank.grids import WilsonScorer
 from spotrank.scoring import (
     Bound,
     ConfigError,
@@ -29,6 +31,7 @@ from spotrank.scoring import (
     validate_config,
     wilson_interval,
 )
+from spotrank.simulate import AnswerProfile
 
 from helpers import spotlight_index_reference, wilson_bisect, wilson_interval_reference
 
@@ -100,6 +103,77 @@ def test_z_outside_the_config_rule_is_refused_by_every_scalar_entry_point(z):
         validate_config(ScoringConfig(z=z))
     assert (exc_info.value.field, exc_info.value.reason) == (
         "z", f"must be a non-negative real, got {z}")
+
+
+_FLOAT_MAX = sys.float_info.max
+_REAL_VALUES = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0, "5e-324": 5e-324,
+    "1.0": 1.0, "float_max": _FLOAT_MAX, "True": True, "-1": -1, "2**1024": 2**1024,
+    "10**400": 10**400, "-10**400": -(10**400),
+}
+# the values among _REAL_VALUES each rule accepts; it refuses every other one
+_NON_NEGATIVE = (-0.0, 5e-324, 1.0, _FLOAT_MAX, True)
+_UNIT = (-0.0, 5e-324, 1.0, True)
+_POSITIVE = (5e-324, 1.0, _FLOAT_MAX, True)
+
+
+# check -> (call, accepted values, the error it refuses a value with)
+_REAL_PARAMETER_CHECKS = {
+    "wilson_interval-z": (lambda v: wilson_interval(VoteTally(3, 1), v), _NON_NEGATIVE,
+                          lambda v: (ValueError, "z must be non-negative")),
+    "WilsonScorer-z": (WilsonScorer, _NON_NEGATIVE,
+                       lambda v: (ValueError, "z must be non-negative")),
+    "validate_config-z": (lambda v: validate_config(ScoringConfig(z=v)), _NON_NEGATIVE,
+                          lambda v: (ConfigError, ("z", f"must be a non-negative real, got {v}"))),
+    "validate_config-p_weight": (
+        lambda v: validate_config(ScoringConfig(p_weight=v)), _UNIT,
+        lambda v: (ConfigError, ("p_weight", f"must be in [0, 1], got {v}"))),
+    "validate_config-exponent": (
+        lambda v: validate_config(ScoringConfig(si_transform=poly(v))), _POSITIVE,
+        lambda v: (ConfigError, ("si_transform.exponent",
+                                 f"poly transform needs a positive exponent, got {v}"))),
+    "AnswerProfile-up_probability": (
+        lambda v: AnswerProfile("a", v, 1.0), _UNIT,
+        lambda v: (ValueError, f"up_probability must be in [0, 1], got {v}")),
+    "AnswerProfile-arrival_weight": (
+        lambda v: AnswerProfile("a", 0.5, v), _POSITIVE,
+        lambda v: (ValueError, f"arrival_weight must be positive and finite, got {v}")),
+}
+
+
+@pytest.mark.parametrize("value", list(_REAL_VALUES.values()), ids=list(_REAL_VALUES))
+@pytest.mark.parametrize("check", list(_REAL_PARAMETER_CHECKS))
+def test_each_real_parameter_is_accepted_or_refused_with_its_own_error(check, value):
+    """z, P, the poly exponent and a profile's probability and weight each
+    have one exact rule; an int past float range is refused by it, never
+    converted (OverflowError is not a ValueError)."""
+    call, accepted, error = _REAL_PARAMETER_CHECKS[check]
+    if value in accepted:
+        call(value)
+        return
+    expected_type, expected = error(value)
+    with pytest.raises(ValueError) as exc_info:
+        call(value)
+    assert type(exc_info.value) is expected_type
+    if expected_type is ConfigError:
+        assert (exc_info.value.field, exc_info.value.reason) == expected
+    else:
+        assert str(exc_info.value) == expected
+
+
+def test_scalar_kernel_converts_the_vote_total_to_float():
+    """The documented int->float limit: a total inside float range scores,
+    one past it raises OverflowError.  The CLI refuses any count past int64
+    before it gets here (tests/test_cli.py)."""
+    big = 2**1000
+    assert combined_score(VoteTally(big, 0), Maxima(big, big, 1), ScoringConfig()).combined == 1.0
+    rejected = combined_score(VoteTally(0, big), Maxima(big, 1, big), ScoringConfig())
+    assert rejected.wilson.upper == pytest.approx(4.0 / big)
+    huge = 10**400
+    with pytest.raises(OverflowError):
+        combined_score(VoteTally(huge, 0), Maxima(huge, huge, 1), ScoringConfig())
+    with pytest.raises(OverflowError):
+        wilson_interval(VoteTally(0, huge), 0.0)
 
 
 @pytest.mark.parametrize("z", [1.0, 2.0, 5.0, 10.0])
