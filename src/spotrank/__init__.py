@@ -52,8 +52,6 @@ from .grids import (
     WilsonScorer,
     emit_csv,
     grid_scores,
-    load_csv,
-    sweep,
 )
 from .simulate import (
     AnswerProfile,

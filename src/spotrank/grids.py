@@ -40,8 +40,10 @@ from .scoring import (
     SiKind,
     SiTransform,
     WholeSiVariant,
+    _FLOAT_MAX,
     _UNVOTED,
     _blend,
+    _quote,
     _si_of_count,
     _si_parts,
     _valid_z,
@@ -128,6 +130,11 @@ class ScoreGrid:
     metadata: dict[str, str]
 
 
+def _slug_number(x: float) -> str:
+    """``x`` as ``:g`` writes it where that reads back as ``x``, else in full."""
+    return format(x, "g") if abs(x) <= _FLOAT_MAX and float(format(x, "g")) == x else _quote(x)
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     z: float
@@ -136,11 +143,11 @@ class SweepPoint:
     transform: SiTransform
 
     def slug(self) -> str:
-        """Deterministic filename fragment, e.g. ``z2_p0.5_whole_linear``."""
+        """Filename fragment, distinct for distinct points, e.g. ``z2_p0.5_whole_linear``."""
         t = self.transform.name
         if t == "poly":
-            t += format(self.transform.exponent, "g")
-        return f"z{self.z:g}_p{self.p_weight:g}_{self.kind.value}_{t}"
+            t += _slug_number(self.transform.exponent)
+        return f"z{_slug_number(self.z)}_p{_slug_number(self.p_weight)}_{self.kind.value}_{t}"
 
     def config(self, base: ScoringConfig) -> ScoringConfig:
         return replace(base, z=self.z, p_weight=self.p_weight, si_kind=self.kind,
@@ -231,15 +238,17 @@ def check_grid(spec: GridSpec) -> None:
 
     That is :class:`InconsistentMaximaError` if the maxima do not cover the
     last cell for the scorer's kind, :class:`ConfigError` if its config is
-    invalid, and :class:`MemoryError` if one row holds more float64 cells than
-    an array can address, since a block is never less than one row.
+    invalid, :class:`MemoryError` if a row, a block's least size, has more float64
+    cells than an array can address, and :class:`ValueError` if an int64 cannot count them.
     """
     if isinstance(spec.scorer, ImprovedScorer):
         check_coverage(spec.scorer.config.si_kind, spec.maxima, *spec.last_cell)
         validate_config(spec.scorer.config)
-    cols = spec.shape[1]
+    rows, cols = spec.shape
     if cols > _MAX_ROW_CELLS:
         raise MemoryError(f"a grid row of {cols} cells does not fit in memory")
+    if rows * cols > 2**63 - 1:  # a cell's index must fit in an int64
+        raise ValueError(f"a grid of {rows} x {cols} cells has more cells than an int64 can count")
 
 
 def _row_blocks(spec: GridSpec) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
@@ -308,12 +317,6 @@ def grid_scores(spec: GridSpec) -> ScoreGrid:
                      _metadata(spec))
 
 
-def sweep(spec: SweepSpec) -> Iterator[tuple[SweepPoint, ScoreGrid]]:
-    """One grid per parameter tuple, in the order of :meth:`SweepSpec.points`."""
-    for point, grid_spec in spec.points():
-        yield point, grid_scores(grid_spec)
-
-
 def emit_csv(grid: Union[ScoreGrid, GridSpec], destination: Union[str, Path, TextIO]) -> None:
     """Write the grid as long-format CSV: ``#`` metadata, ``u,d,score`` header.
 
@@ -363,43 +366,3 @@ def _write_csv(metadata: dict[str, str], d_values: np.ndarray,
             prefix = f"{u},"
             fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
 
-
-def load_csv(source: Union[str, Path, TextIO]) -> ScoreGrid:
-    """Read a grid written by :func:`emit_csv` back into memory."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _read_csv(fh)
-    return _read_csv(source)
-
-
-def _read_csv(fh: TextIO) -> ScoreGrid:
-    import numpy as np
-
-    metadata: dict[str, str] = {}
-    rows: list[tuple[int, int, float]] = []
-    header_seen = False
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            metadata[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if line != "u,d,score":
-                raise ValueError(f"unexpected header line {line!r}")
-            header_seen = True
-            continue
-        u_text, d_text, s_text = line.split(",")
-        rows.append((int(u_text), int(d_text), float(s_text)))
-    if not header_seen:
-        raise ValueError("missing u,d,score header")
-    u_values = np.array(sorted({u for u, _, _ in rows}), dtype=np.int64)
-    d_values = np.array(sorted({d for _, d, _ in rows}), dtype=np.int64)
-    scores = np.empty((len(u_values), len(d_values)), dtype=np.float64)
-    u_index = {int(u): i for i, u in enumerate(u_values)}
-    d_index = {int(d): j for j, d in enumerate(d_values)}
-    for u, d, s in rows:
-        scores[u_index[u], d_index[d]] = s
-    return ScoreGrid(u_values, d_values, scores, metadata)

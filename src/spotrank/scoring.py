@@ -51,13 +51,6 @@ class VoteTally:
     def n(self) -> int:
         return self.up + self.down
 
-    @property
-    def p(self) -> float:
-        """Up-vote proportion; undefined (raises) when there are no votes."""
-        if self.n == 0:
-            raise ValueError("proportion undefined for a tally with no votes")
-        return self.up / self.n
-
 
 @dataclass(frozen=True)
 class Maxima:
@@ -205,6 +198,14 @@ def _valid_z(z: float) -> bool:
     """The one rule for z, a finite non-negative real; one comparison chain,
     since :func:`wilson_interval` checks it once per tally."""
     return 0.0 <= z <= _FLOAT_MAX
+
+
+def _quote(value) -> str:
+    """``value`` as a message quotes it; an integer past ``str``'s limit, by its size."""
+    try:
+        return f"{value}"
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 def wilson_interval(tally: VoteTally, z: float) -> WilsonInterval:
@@ -371,13 +372,13 @@ def combined_score(tally: VoteTally, maxima: Maxima, config: ScoringConfig) -> S
 def validate_config(config: ScoringConfig) -> ScoringConfig:
     """Check every config invariant; returns the config unchanged if valid."""
     if not 0.0 <= config.p_weight <= 1.0:
-        raise ConfigError("p_weight", f"must be in [0, 1], got {config.p_weight}")
+        raise ConfigError("p_weight", f"must be in [0, 1], got {_quote(config.p_weight)}")
     if not _valid_z(config.z):
-        raise ConfigError("z", f"must be a non-negative real, got {config.z}")
+        raise ConfigError("z", f"must be a non-negative real, got {_quote(config.z)}")
     exponent = config.si_transform.exponent
     if config.si_transform.name == "poly" and not 0.0 < exponent <= _FLOAT_MAX:
-        raise ConfigError(
-            "si_transform.exponent", f"poly transform needs a positive exponent, got {exponent}")
+        raise ConfigError("si_transform.exponent",
+                          f"poly transform needs a positive exponent, got {_quote(exponent)}")
     if config.n_max_floor < 1:
-        raise ConfigError("n_max_floor", f"must be >= 1, got {config.n_max_floor}")
+        raise ConfigError("n_max_floor", f"must be >= 1, got {_quote(config.n_max_floor)}")
     return config

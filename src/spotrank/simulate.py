@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scoring import _FLOAT_MAX, ScoringConfig, validate_config
+from .scoring import _FLOAT_MAX, ScoringConfig, _quote, validate_config
 from .state import QuestionState, RankedList, VoteEvent
 
 SIM_QUESTION_ID = "sim"
@@ -85,10 +85,11 @@ class AnswerProfile:
 
     def __post_init__(self):
         if not 0.0 <= self.up_probability <= 1.0:
-            raise ValueError(f"up_probability must be in [0, 1], got {self.up_probability}")
+            raise ValueError(f"up_probability must be in [0, 1], got {_quote(self.up_probability)}")
         # from an infinite weight on, every running sum is infinite: no pick lands on it
         if not 0.0 < self.arrival_weight <= _FLOAT_MAX:
-            raise ValueError(f"arrival_weight must be positive and finite, got {self.arrival_weight}")
+            raise ValueError(
+                f"arrival_weight must be positive and finite, got {_quote(self.arrival_weight)}")
 
 
 @dataclass(frozen=True)

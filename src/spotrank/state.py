@@ -74,7 +74,6 @@ class RankedList:
     """
 
     entries: tuple[tuple[str, ScoreBreakdown], ...]
-    config: ScoringConfig
     maxima: Maxima
 
     def ids(self) -> tuple[str, ...]:
@@ -97,9 +96,7 @@ def rank_answers(
     entries = sorted(answers, key=lambda entry: entry.created_seq)
     counts = [(entry.tally.up, entry.tally.down) for entry in entries]
     order, scored, maxima = _rank_counts(counts, config, raw_maxima)
-    return RankedList(
-        tuple((entries[i].answer_id, scored[counts[i]]) for i in order), config, maxima
-    )
+    return RankedList(tuple((entries[i].answer_id, scored[counts[i]]) for i in order), maxima)
 
 
 def _rank_counts(
@@ -168,10 +165,6 @@ class QuestionState:
             for seq, (answer_id, (up, down)) in enumerate(self._counts.items())
         )
 
-    def tally(self, answer_id: str) -> VoteTally | None:
-        counts = self._counts.get(answer_id)
-        return VoteTally(*counts) if counts is not None else None
-
     def apply_event(self, event: VoteEvent) -> None:
         """Apply one vote event.
 
@@ -209,7 +202,7 @@ class QuestionState:
         """Rank all answers under the maxima of their tallies, floored per config."""
         ids, counts = list(self._counts), list(self._counts.values())
         order, scored, maxima = _rank_counts(counts, config)
-        return RankedList(tuple((ids[i], scored[counts[i]]) for i in order), config, maxima)
+        return RankedList(tuple((ids[i], scored[counts[i]]) for i in order), maxima)
 
     def snapshot(self) -> QuestionSnapshot:
         return QuestionSnapshot(

@@ -309,7 +309,7 @@ def rank_answers_reference(answers, config, raw_maxima=None) -> RankedList:
     maxima = effective_maxima(*raw_maxima, floor=config.n_max_floor)
     scored = [(entry, combined_score(entry.tally, maxima, config)) for entry in entries]
     scored.sort(key=lambda pair: (-pair[1].combined, -pair[0].tally.up, pair[0].created_seq))
-    return RankedList(tuple((e.answer_id, b) for e, b in scored), config, maxima)
+    return RankedList(tuple((e.answer_id, b) for e, b in scored), maxima)
 
 
 def simulate_reference(spec, scorers, cadence):

@@ -1088,6 +1088,10 @@ def test_grid_too_large_for_memory_exits_2_with_one_error_line(tmp_path, capsys,
 # numpy refuses it without trying to allocate
 _ROW_TOO_LARGE = ["--u-range", "2", "--d-range", str(2**62), "--n-max", str(2**63 - 1)]
 _ROW_TOO_LARGE_ERR = f"error: a grid row of {2**62 + 1} cells does not fit in memory\n"
+# short rows, but more cells than an int64 can count: the grid would stream forever
+_GRID_TOO_TALL = ["--u-range", str(2**62), "--d-range", "2", "--n-max", str(2**63 - 1)]
+_GRID_TOO_TALL_ERR = (f"error: a grid of {2**62 + 1} x 3 cells has more cells than an int64 "
+                      "can count\n")
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])
@@ -1098,6 +1102,17 @@ def test_grid_row_beyond_the_address_space_exits_2_with_one_error_line(tmp_path,
                           *(["--out", str(out)] if to_file else []))
     assert (rc, stdout, err) == (2, "", _ROW_TOO_LARGE_ERR)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_too_tall_ever_to_finish_exits_2_before_the_first_byte():
+    # each row fits, but (2**62 + 1) x 3 cells outnumber int64: without the
+    # check the rows would stream until the process is stopped
+    result = subprocess.run(
+        [sys.executable, "-m", "spotrank", "grid", "--scorer", "wilson",
+         "--u-range", str(2**62), "--d-range", "2"],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", _GRID_TOO_TALL_ERR)
 
 
 def test_grid_memory_stays_at_one_block(tmp_path):
@@ -1172,15 +1187,14 @@ def test_sweep_default_lists_make_twenty_files(tmp_path, capsys):
     (["--kinds", "whole,upvote", "--u-max", "1"],
      "error: sweep point z0_p0_upvote_linear: u_max=1 cannot cover u up to 2 for kind upvote\n"),
     (_ROW_TOO_LARGE, _ROW_TOO_LARGE_ERR),
-    # two points whose file names are equal: the slug formats values with :g
-    (["--z-values", "1", "--p-values", "0.1234561,0.1234562"],
-     "error: two outputs name {out_dir}/grid_z1_p0.123456_whole_linear.csv\n"),
+    (_GRID_TOO_TALL, _GRID_TOO_TALL_ERR),
+    # two points whose file names are equal: only equal values share a slug
     (["--z-values", "1", "--p-values", "0.5,0.5"],
      "error: two outputs name {out_dir}/grid_z1_p0.5_whole_linear.csv\n"),
     (["--z-values", "1", "--p-values", "0", "--transforms", "poly,poly"],
      "error: two outputs name {out_dir}/grid_z1_p0_whole_poly2.csv\n"),
 ], ids=["p", "z", "first-in-sweep-order", "poly-a", "coverage", "row-too-large",
-        "same-slug", "same-p", "same-transform"])
+        "grid-too-tall", "same-p", "same-transform"])
 def test_sweep_checks_every_point_before_any_grid(tmp_path, capsys, monkeypatch, flags,
                                                   expected_err):
     grids_module = importlib.import_module("spotrank.grids")
@@ -1194,6 +1208,18 @@ def test_sweep_checks_every_point_before_any_grid(tmp_path, capsys, monkeypatch,
     assert (rc, out, err) == (2, "", expected_err.format(out_dir=out_dir))
     assert calls == []
     assert not out_dir.exists()
+
+
+def test_sweep_values_that_round_alike_under_g_get_one_file_each(tmp_path, capsys):
+    out_dir = tmp_path / "grids"
+    rc, out, err = run(capsys, "sweep", "--p-values", "0.1234561,0.1234562", "--z-values", "1",
+                       "--u-range", "3", "--d-range", "3", "--n-max", "10",
+                       "--out-dir", str(out_dir))
+    names = ["grid_z1_p0.1234561_whole_linear.csv", "grid_z1_p0.1234562_whole_linear.csv"]
+    assert (rc, out, err) == (0, "".join(f"{out_dir / name}\n" for name in names), "")
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    for name, p_weight in zip(names, ["0.1234561", "0.1234562"]):
+        assert f"# p_weight: {p_weight}\n" in (out_dir / name).read_text(encoding="utf-8")
 
 
 def test_sweep_custom_lists(tmp_path, capsys):

@@ -14,12 +14,11 @@ from spotrank.grids import (
     ImprovedScorer,
     InconsistentMaximaError,
     ScoreGrid,
+    SweepPoint,
     SweepSpec,
     WilsonScorer,
     emit_csv,
     grid_scores,
-    load_csv,
-    sweep,
 )
 from spotrank.scoring import (
     EXP,
@@ -304,11 +303,17 @@ def test_csv_round_trip(tmp_path):
                                      si_kind=SiKind.NET, si_transform=LOG10, step=3))
     path = tmp_path / "grid.csv"
     emit_csv(grid, path)
-    loaded = load_csv(path)
-    assert np.array_equal(loaded.u_values, grid.u_values)
-    assert np.array_equal(loaded.d_values, grid.d_values)
-    assert np.max(np.abs(loaded.scores - grid.scores)) < 1e-9
-    assert loaded.metadata["kind"] == "net"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    metadata = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+    data = [line for line in lines if not line.startswith("#")]
+    assert data[0] == "u,d,score"
+    cells = np.array([line.split(",") for line in data[1:]], dtype=np.float64)
+    u_values, d_values = np.unique(cells[:, 0]), np.unique(cells[:, 1])
+    scores = cells[:, 2].reshape(len(u_values), len(d_values))  # rows are u-major
+    assert np.array_equal(u_values, grid.u_values)
+    assert np.array_equal(d_values, grid.d_values)
+    assert np.max(np.abs(scores - grid.scores)) < 1e-9
+    assert metadata["kind"] == "net"
 
 
 def test_csv_single_cell_grid():
@@ -430,7 +435,7 @@ def test_canonical_sweep_yields_twenty_grids_in_order():
         kinds=(SiKind.WHOLE,),
         transforms=(LINEAR,),
     )
-    results = list(sweep(spec))
+    results = [(point, grid_scores(grid_spec)) for point, grid_spec in spec.points()]
     assert len(results) == 20
     assert [point.z for point, _ in results[:5]] == [0.0] * 5
     assert [point.p_weight for point, _ in results[:5]] == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -448,7 +453,7 @@ def test_figure_series_sweep_shape():
         kinds=(SiKind.WHOLE, SiKind.NET, SiKind.POSITIVE),
         transforms=(LINEAR,),
     )
-    assert len(list(sweep(spec))) == 9
+    assert len([grid_scores(grid_spec) for _, grid_spec in spec.points()]) == 9
 
 
 def test_single_tuple_sweep_equals_direct_grid():
@@ -459,7 +464,8 @@ def test_single_tuple_sweep_equals_direct_grid():
         kinds=(SiKind.NET,),
         transforms=(LOG10,),
     )
-    [(point, swept)] = list(sweep(spec))
+    [(point, grid_spec)] = list(spec.points())
+    swept = grid_scores(grid_spec)
     direct = grid_scores(improved_spec(8, 8, n_max=40, z=2.0, p_weight=0.25,
                                        si_kind=SiKind.NET, si_transform=LOG10))
     assert np.array_equal(swept.scores, direct.scores)
@@ -474,7 +480,7 @@ def test_sweep_error_names_the_offending_tuple():
         kinds=(SiKind.WHOLE, SiKind.UPVOTE),  # upvote needs u_max >= 30; maxima has 100, fine
         transforms=(LINEAR,),
     )
-    assert len(list(sweep(spec))) == 2
+    assert len([grid_scores(grid_spec) for _, grid_spec in spec.points()]) == 2
 
     # the whole kind fits and upvote does not: the spec itself is refused,
     # so no grid of it is ever computed
@@ -525,3 +531,42 @@ def test_sweep_point_error_keeps_its_type_and_field():
         )
     assert exc_info.value.field == "p_weight"
     assert str(exc_info.value).startswith("sweep point z2_p2_whole_linear: p_weight: ")
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000], ids=["10**400", "10**5000"])
+@pytest.mark.parametrize("field", ["z", "p_weight", "si_transform.exponent"])
+def test_sweep_point_past_float_range_is_refused_by_its_field(field, value):
+    with pytest.raises(ConfigError) as exc_info:
+        SweepSpec(
+            base=GridSpec(2, 2, Maxima(10, 10, 10), ImprovedScorer(ScoringConfig()), 1),
+            z_values=(value if field == "z" else 2.0,),
+            p_values=(value if field == "p_weight" else 0.5,),
+            kinds=(SiKind.WHOLE,),
+            transforms=(poly(value) if field == "si_transform.exponent" else poly(2.0),),
+        )
+    assert exc_info.value.field == field
+    assert str(exc_info.value).startswith("sweep point z")
+
+
+def test_slug_spells_each_value_as_g_where_that_reads_back_and_in_full_elsewhere():
+    def slug(z=2.0, p_weight=0.5, exponent=2.0):
+        return SweepPoint(z, p_weight, SiKind.WHOLE, poly(exponent)).slug()
+
+    assert slug() == "z2_p0.5_whole_poly2"
+    # every P of k/1000 reads back from :g, so such names are as :g writes them
+    for k in range(1001):
+        assert slug(p_weight=k / 1000) == f"z2_p{k / 1000:g}_whole_poly2"
+    assert slug(p_weight=0.1234561) == "z2_p0.1234561_whole_poly2"
+    assert slug(z=1234567.0, exponent=1.0000001) == "z1234567.0_p0.5_whole_poly1.0000001"
+    assert slug(p_weight=-0.0) != slug(p_weight=0.0)
+    values = [0.1234561, 0.1234562, 1e-300, 1e-300 * (1 + 2**-52), 2.0, 1e16, 1e16 + 2, 2**53 + 1]
+    assert len({slug(z=v) for v in values}) == len(values)
+
+
+def test_grid_too_tall_for_an_int64_cell_index_is_refused_before_the_first_byte():
+    spec = GridSpec(2**62, 2, Maxima(2**63 - 1, 2**63 - 1, 2**63 - 1), WilsonScorer(2.0))
+    buffer = io.StringIO()
+    for evaluate in (grid_scores, lambda spec: emit_csv(spec, buffer)):
+        with pytest.raises(ValueError, match=f"^a grid of {2**62 + 1} x 3 cells has more cells"):
+            evaluate(spec)
+    assert buffer.getvalue() == ""

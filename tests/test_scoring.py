@@ -109,8 +109,14 @@ _FLOAT_MAX = sys.float_info.max
 _REAL_VALUES = {
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0, "5e-324": 5e-324,
     "1.0": 1.0, "float_max": _FLOAT_MAX, "True": True, "-1": -1, "2**1024": 2**1024,
-    "10**400": 10**400, "-10**400": -(10**400),
+    "10**400": 10**400, "-10**400": -(10**400), "10**5000": 10**5000, "-10**5000": -(10**5000),
 }
+# past str's 4300-digit limit a message names the integer by its size
+_SPELLED = {10**5000: "an integer of 16610 bits", -(10**5000): "a negative integer of 16610 bits"}
+
+
+def _spelled(value) -> str:
+    return _SPELLED[value] if value in _SPELLED else f"{value}"
 # the values among _REAL_VALUES each rule accepts; it refuses every other one
 _NON_NEGATIVE = (-0.0, 5e-324, 1.0, _FLOAT_MAX, True)
 _UNIT = (-0.0, 5e-324, 1.0, True)
@@ -124,20 +130,20 @@ _REAL_PARAMETER_CHECKS = {
     "WilsonScorer-z": (WilsonScorer, _NON_NEGATIVE,
                        lambda v: (ValueError, "z must be non-negative")),
     "validate_config-z": (lambda v: validate_config(ScoringConfig(z=v)), _NON_NEGATIVE,
-                          lambda v: (ConfigError, ("z", f"must be a non-negative real, got {v}"))),
+                          lambda v: (ConfigError, ("z", f"must be a non-negative real, got {_spelled(v)}"))),
     "validate_config-p_weight": (
         lambda v: validate_config(ScoringConfig(p_weight=v)), _UNIT,
-        lambda v: (ConfigError, ("p_weight", f"must be in [0, 1], got {v}"))),
+        lambda v: (ConfigError, ("p_weight", f"must be in [0, 1], got {_spelled(v)}"))),
     "validate_config-exponent": (
         lambda v: validate_config(ScoringConfig(si_transform=poly(v))), _POSITIVE,
         lambda v: (ConfigError, ("si_transform.exponent",
-                                 f"poly transform needs a positive exponent, got {v}"))),
+                                 f"poly transform needs a positive exponent, got {_spelled(v)}"))),
     "AnswerProfile-up_probability": (
         lambda v: AnswerProfile("a", v, 1.0), _UNIT,
-        lambda v: (ValueError, f"up_probability must be in [0, 1], got {v}")),
+        lambda v: (ValueError, f"up_probability must be in [0, 1], got {_spelled(v)}")),
     "AnswerProfile-arrival_weight": (
         lambda v: AnswerProfile("a", 0.5, v), _POSITIVE,
-        lambda v: (ValueError, f"arrival_weight must be positive and finite, got {v}")),
+        lambda v: (ValueError, f"arrival_weight must be positive and finite, got {_spelled(v)}")),
 }
 
 
@@ -146,7 +152,8 @@ _REAL_PARAMETER_CHECKS = {
 def test_each_real_parameter_is_accepted_or_refused_with_its_own_error(check, value):
     """z, P, the poly exponent and a profile's probability and weight each
     have one exact rule; an int past float range is refused by it, never
-    converted (OverflowError is not a ValueError)."""
+    converted (OverflowError is not a ValueError), and one past str's digit
+    limit is quoted by its size."""
     call, accepted, error = _REAL_PARAMETER_CHECKS[check]
     if value in accepted:
         call(value)
@@ -201,7 +208,7 @@ def test_interval_contains_proportion(u, d, z):
     iv = wilson_interval(tally, z)
     assert 0.0 <= iv.lower <= iv.upper <= 1.0
     if tally.n > 0:
-        assert iv.lower <= tally.p <= iv.upper
+        assert iv.lower <= tally.up / tally.n <= iv.upper
 
 
 @given(u=st.integers(0, 1000), d=st.integers(0, 1000))
@@ -210,7 +217,7 @@ def test_zero_z_is_exact_proportion(u, d):
     if tally.n == 0:
         return
     iv = wilson_interval(tally, 0.0)
-    assert iv.lower == iv.upper == tally.p
+    assert iv.lower == iv.upper == tally.up / tally.n
 
 
 @pytest.mark.parametrize("z", [0.0, 2.0, 5.0, 10.0])
@@ -652,6 +659,8 @@ def test_valid_config_passes_through():
         (ScoringConfig(si_transform=SiTransform("poly", 0.0)), "si_transform.exponent"),
         (ScoringConfig(si_transform=SiTransform("poly", -2.0)), "si_transform.exponent"),
         (ScoringConfig(n_max_floor=0), "n_max_floor"),
+        # past str's digit limit: quoted by its size
+        (ScoringConfig(n_max_floor=-(10**5000)), "n_max_floor"),
     ],
 )
 def test_invalid_configs_name_the_field(config, field):
@@ -669,11 +678,6 @@ def test_negative_counts_rejected():
         VoteTally(-1, 0)
     with pytest.raises(ValueError):
         VoteTally(0, -3)
-
-
-def test_proportion_undefined_without_votes():
-    with pytest.raises(ValueError):
-        VoteTally(0, 0).p
 
 
 def test_maxima_must_be_floored():

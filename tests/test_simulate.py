@@ -148,7 +148,7 @@ def test_spec_validation():
 def test_single_answer_always_first():
     spec = spec_of(("only", 1.0, 1.0), total_events=10)
     trajectory = simulate(spec, {"wilson": WILSON}, cadence=2)
-    assert trajectory.final_state.tally("only").up == 10
+    assert [entry.tally.up for entry in trajectory.final_state.entries()] == [10]
     assert all(
         snap.rankings["wilson"].ids() == ("only",) for snap in trajectory.snapshots
     )
@@ -377,7 +377,7 @@ def _trajectories(draw):
     for index in range(draw(st.integers(1, 40))):
         size = draw(st.integers(size, len(_POOL)))
         rankings = {label: RankedList(tuple((answer_id, None) for answer_id in
-                                            draw(st.permutations(_POOL[:size]))), BLEND, None)
+                                            draw(st.permutations(_POOL[:size]))), None)
                     for label in labels}
         snapshots.append(TrajectorySnapshot(index, rankings))
     return Trajectory(tuple(snapshots), QuestionState("q"), labels)

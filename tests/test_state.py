@@ -44,7 +44,7 @@ def test_first_vote_sets_all_maxima():
     state = QuestionState("q")
     state.apply_event(event("a", up=1))
     assert state.recompute_maxima() == (1, 1, 0)
-    assert state.tally("a") == VoteTally(1, 0)
+    assert state.entries() == (AnswerEntry("a", VoteTally(1, 0), 0),)
 
 
 def test_vote_below_maximum_leaves_maxima_alone():
@@ -77,7 +77,7 @@ def test_state_holds_tallies_only():
 def test_unknown_answer_is_created():
     state = QuestionState("q")
     state.apply_event(event("fresh", up=2))
-    assert state.tally("fresh") == VoteTally(2, 0)
+    assert state.entries() == (AnswerEntry("fresh", VoteTally(2, 0), 0),)
     assert len(state) == 1
 
 
@@ -416,8 +416,9 @@ def test_answer_retracted_to_zero_keeps_its_creation_order():
     )
     assert state.entries() == expected
     assert state.snapshot().entries == expected
-    assert state.tally("b") == VoteTally(0, 0)
-    assert state.tally("never-seen") is None
+    tallies = {entry.answer_id: entry.tally for entry in state.entries()}
+    assert tallies["b"] == VoteTally(0, 0)
+    assert "never-seen" not in tallies
 
 
 def test_snapshot_maxima_match_rescan_of_snapshot_entries():
