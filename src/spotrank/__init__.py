@@ -29,7 +29,6 @@ from .scoring import (
     poly,
     si_range,
     spotlight_index,
-    validate_config,
     wilson_interval,
 )
 from .state import (

@@ -54,7 +54,6 @@ from .scoring import (
     check_coverage,
     combined_score,
     effective_maxima,
-    validate_config,
 )
 from .simulate import (
     SIM_QUESTION_ID,
@@ -282,17 +281,16 @@ def _transform_from(name: str, poly_a: float) -> SiTransform:
 
 
 def resolve_scoring_config(opts: dict[str, Any]) -> ScoringConfig:
-    config = ScoringConfig(
-        z=opts["z"],
-        p_weight=opts["p-weight"],
-        si_kind=opts["kind"],
-        si_transform=_transform_from(opts["transform"], opts["poly-a"]),
-        bound=opts["bound"],
-        n_max_floor=opts["n-max-floor"],
-        whole_variant=opts["whole-variant"],
-    )
     try:
-        return validate_config(config)
+        return ScoringConfig(
+            z=opts["z"],
+            p_weight=opts["p-weight"],
+            si_kind=opts["kind"],
+            si_transform=_transform_from(opts["transform"], opts["poly-a"]),
+            bound=opts["bound"],
+            n_max_floor=opts["n-max-floor"],
+            whole_variant=opts["whole-variant"],
+        )
     except ConfigError as exc:  # it names a field; users see flag spellings
         flag = "poly-a" if exc.field == "si_transform.exponent" else exc.field.replace("_", "-")
         raise CliError(f"{flag}: {exc.reason}") from exc
@@ -671,12 +669,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"{_SWEEP_FIELD_FLAGS[exc.field]}: {exc.reason}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    except MemoryError as exc:
+        raise _too_large(base) from exc
     out_dir = Path(opts["out-dir"])
     outputs = [(out_dir / f"grid_{point.slug()}.csv", grid_spec)
                for point, grid_spec in spec.points()]
     try:
-        for _, grid_spec in outputs:
-            check_grid(grid_spec)
         with _outputs(path for path, _ in outputs) as paths:
             out_dir.mkdir(parents=True, exist_ok=True)
             for (_, grid_spec), path in zip(outputs, paths):

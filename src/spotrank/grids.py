@@ -49,7 +49,6 @@ from .scoring import (
     _valid_z,
     _wilson_roots,
     check_coverage,
-    validate_config,
 )
 
 # cells per block: a block's float64 temporaries stay small, and numpy's
@@ -158,8 +157,10 @@ class SweepPoint:
 class SweepSpec:
     """Cartesian sweep over z, p_weight, kind and transform on one base grid.
 
-    Every point is checked here, so any spec can be swept; a bad point raises
-    its own error, prefixed ``sweep point <slug>: ``.
+    Every point is checked here, one at a time in sweep order, so any spec
+    can be swept: its config is built, then :func:`check_grid` runs on its
+    grid.  A bad config or uncovered grid raises its own error, prefixed
+    ``sweep point <slug>: ``; a grid too large raises as :func:`check_grid` does.
     """
 
     base: GridSpec
@@ -174,27 +175,22 @@ class SweepSpec:
         for name in ("z_values", "p_values", "kinds", "transforms"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-        # a config does not depend on the kind, nor coverage on z, P or the
-        # transform: each is checked at the first point in sweep order with it
-        base = self.base
-        configs = [SweepPoint(z, p_weight, self.kinds[0], transform) for z, p_weight, transform
-                   in product(self.z_values, self.p_values, self.transforms)]
-        try:
-            for point in configs:
-                validate_config(point.config(base.scorer.config))
-            for point in [replace(configs[0], kind=kind) for kind in self.kinds]:
-                check_coverage(point.kind, base.maxima, *base.last_cell)
-        except (ConfigError, InconsistentMaximaError) as exc:
-            exc.args = (f"sweep point {point.slug()}: {exc}",)  # type and field kept
-            raise
+        for _ in self.points():  # drawing a point checks it
+            pass
 
     def points(self) -> Iterator[tuple[SweepPoint, GridSpec]]:
-        """Each point and its grid's spec, in z-outer, then P, kind, transform order."""
+        """Each point and its checked grid spec, in z-outer, then P, kind, transform order."""
         base = self.base
         base_config = base.scorer.config  # type: ignore[union-attr]
         for values in product(self.z_values, self.p_values, self.kinds, self.transforms):
             point = SweepPoint(*values)
-            yield point, replace(base, scorer=ImprovedScorer(point.config(base_config)))
+            try:
+                grid = replace(base, scorer=ImprovedScorer(point.config(base_config)))
+                check_grid(grid)
+            except (ConfigError, InconsistentMaximaError) as exc:
+                exc.args = (f"sweep point {point.slug()}: {exc}",)  # type and field kept
+                raise
+            yield point, grid
 
 
 def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> np.ndarray:
@@ -237,18 +233,19 @@ def check_grid(spec: GridSpec) -> None:
     """Raise what evaluating ``spec`` would raise before its first cell.
 
     That is :class:`InconsistentMaximaError` if the maxima do not cover the
-    last cell for the scorer's kind, :class:`ConfigError` if its config is
-    invalid, :class:`MemoryError` if a row, a block's least size, has more float64
-    cells than an array can address, and :class:`ValueError` if an int64 cannot count them.
+    last cell for the scorer's kind, :class:`MemoryError` if a row, a block's
+    least size, has more float64 cells than an array can address, and
+    :class:`ValueError` if an int64 cannot count them.  Its config, if any,
+    was checked when it was built.
     """
     if isinstance(spec.scorer, ImprovedScorer):
         check_coverage(spec.scorer.config.si_kind, spec.maxima, *spec.last_cell)
-        validate_config(spec.scorer.config)
     rows, cols = spec.shape
     if cols > _MAX_ROW_CELLS:
-        raise MemoryError(f"a grid row of {cols} cells does not fit in memory")
+        raise MemoryError(f"a grid row of {_quote(cols)} cells does not fit in memory")
     if rows * cols > 2**63 - 1:  # a cell's index must fit in an int64
-        raise ValueError(f"a grid of {rows} x {cols} cells has more cells than an int64 can count")
+        raise ValueError(f"a grid of {_quote(rows)} x {_quote(cols)} cells has more cells "
+                         "than an int64 can count")
 
 
 def _row_blocks(spec: GridSpec) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:

@@ -20,7 +20,7 @@ from enum import Enum
 
 
 class ConfigError(ValueError):
-    """Raised by :func:`validate_config`; names the offending field."""
+    """Raised by :class:`ScoringConfig`; names the offending field."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -45,7 +45,8 @@ class VoteTally:
 
     def __post_init__(self):
         if self.up < 0 or self.down < 0:
-            raise ValueError(f"vote counts must be non-negative, got ({self.up}, {self.down})")
+            raise ValueError(
+                f"vote counts must be non-negative, got ({_quote(self.up)}, {_quote(self.down)})")
 
     @property
     def n(self) -> int:
@@ -136,7 +137,9 @@ class ScoringConfig:
 
     ``z`` is the normal quantile controlling interval width, ``p_weight`` the
     weight of the Wilson term (1 - p_weight goes to the spotlight index).
-    Ranking normally uses the lower bound; the conservative choice.
+    Ranking normally uses the lower bound; the conservative choice.  A config
+    checks itself when it is built (and when ``dataclasses.replace`` rebuilds
+    it), raising :class:`ConfigError` naming the first bad field.
     """
 
     z: float = 2.0
@@ -146,6 +149,18 @@ class ScoringConfig:
     bound: Bound = Bound.LOWER
     n_max_floor: int = 1
     whole_variant: WholeSiVariant = WholeSiVariant.PLAIN
+
+    def __post_init__(self):
+        if not 0.0 <= self.p_weight <= 1.0:
+            raise ConfigError("p_weight", f"must be in [0, 1], got {_quote(self.p_weight)}")
+        if not _valid_z(self.z):
+            raise ConfigError("z", f"must be a non-negative real, got {_quote(self.z)}")
+        exponent = self.si_transform.exponent
+        if self.si_transform.name == "poly" and not 0.0 < exponent <= _FLOAT_MAX:
+            raise ConfigError("si_transform.exponent",
+                              f"poly transform needs a positive exponent, got {_quote(exponent)}")
+        if self.n_max_floor < 1:
+            raise ConfigError("n_max_floor", f"must be >= 1, got {_quote(self.n_max_floor)}")
 
 
 @dataclass(frozen=True)
@@ -329,8 +344,8 @@ def check_coverage(kind: SiKind, maxima: Maxima, up: int, down: int) -> None:
         field, counted, count = "n_max", "u+d", up + down
     top = getattr(maxima, field)
     if top < count:
-        raise InconsistentMaximaError(
-            field, f"{field}={top} cannot cover {counted} up to {count} for kind {kind.value}")
+        raise InconsistentMaximaError(field, f"{field}={_quote(top)} cannot cover {counted} up to "
+                                             f"{_quote(count)} for kind {kind.value}")
 
 
 def si_range(kind: SiKind, transform: SiTransform = LINEAR) -> tuple[float, float]:
@@ -368,17 +383,3 @@ def combined_score(tally: VoteTally, maxima: Maxima, config: ScoringConfig) -> S
     si = spotlight_index(tally, maxima, config.si_kind, config.si_transform, config.whole_variant)
     return ScoreBreakdown(interval, used, si, _blend(config.p_weight, used, si))
 
-
-def validate_config(config: ScoringConfig) -> ScoringConfig:
-    """Check every config invariant; returns the config unchanged if valid."""
-    if not 0.0 <= config.p_weight <= 1.0:
-        raise ConfigError("p_weight", f"must be in [0, 1], got {_quote(config.p_weight)}")
-    if not _valid_z(config.z):
-        raise ConfigError("z", f"must be a non-negative real, got {_quote(config.z)}")
-    exponent = config.si_transform.exponent
-    if config.si_transform.name == "poly" and not 0.0 < exponent <= _FLOAT_MAX:
-        raise ConfigError("si_transform.exponent",
-                          f"poly transform needs a positive exponent, got {_quote(exponent)}")
-    if config.n_max_floor < 1:
-        raise ConfigError("n_max_floor", f"must be >= 1, got {_quote(config.n_max_floor)}")
-    return config

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scoring import _FLOAT_MAX, ScoringConfig, _quote, validate_config
+from .scoring import _FLOAT_MAX, ScoringConfig, _quote
 from .state import QuestionState, RankedList, VoteEvent
 
 SIM_QUESTION_ID = "sim"
@@ -213,14 +213,13 @@ def simulate(
 
     Rankings are recorded after every ``cadence``-th event and after the final
     one.  Identical inputs always produce identical trajectories, equal to
-    applying :func:`generate_events` one event at a time.
+    applying :func:`generate_events` one event at a time.  Each scorer is a
+    :class:`ScoringConfig`, so it was checked when it was built.
     """
     if not scorers:
         raise ValueError("at least one scorer is required")
     if cadence < 1:
         raise ValueError("cadence must be positive")
-    for config in scorers.values():
-        validate_config(config)
 
     state = QuestionState(SIM_QUESTION_ID)
     snapshots = tuple(_snapshot_stream(spec, scorers, cadence, state))

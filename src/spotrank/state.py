@@ -18,6 +18,7 @@ from .scoring import (
     ScoreBreakdown,
     ScoringConfig,
     VoteTally,
+    _quote,
     combined_score,
     effective_maxima,
 )
@@ -189,7 +190,8 @@ class QuestionState:
         up += up_delta
         down += down_delta
         if up < 0 or down < 0:
-            raise NegativeCountError(f"event would drive answer {answer_id!r} to ({up}, {down})")
+            raise NegativeCountError(
+                f"event would drive answer {answer_id!r} to ({_quote(up)}, {_quote(down)})")
         self._counts[answer_id] = (up, down)
         self.event_count += 1
 

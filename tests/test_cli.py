@@ -1186,6 +1186,9 @@ def test_sweep_default_lists_make_twenty_files(tmp_path, capsys):
     # the whole kind fits; its grid is not built before upvote fails
     (["--kinds", "whole,upvote", "--u-max", "1"],
      "error: sweep point z0_p0_upvote_linear: u_max=1 cannot cover u up to 2 for kind upvote\n"),
+    # one point at a time: the first point's coverage fails before the second point's P
+    (["--z-values", "1", "--kinds", "upvote", "--u-max", "1", "--p-values", "0.5,2"],
+     "error: sweep point z1_p0.5_upvote_linear: u_max=1 cannot cover u up to 2 for kind upvote\n"),
     (_ROW_TOO_LARGE, _ROW_TOO_LARGE_ERR),
     (_GRID_TOO_TALL, _GRID_TOO_TALL_ERR),
     # two points whose file names are equal: only equal values share a slug
@@ -1193,8 +1196,8 @@ def test_sweep_default_lists_make_twenty_files(tmp_path, capsys):
      "error: two outputs name {out_dir}/grid_z1_p0.5_whole_linear.csv\n"),
     (["--z-values", "1", "--p-values", "0", "--transforms", "poly,poly"],
      "error: two outputs name {out_dir}/grid_z1_p0_whole_poly2.csv\n"),
-], ids=["p", "z", "first-in-sweep-order", "poly-a", "coverage", "row-too-large",
-        "grid-too-tall", "same-p", "same-transform"])
+], ids=["p", "z", "first-in-sweep-order", "poly-a", "coverage", "point-by-point",
+        "row-too-large", "grid-too-tall", "same-p", "same-transform"])
 def test_sweep_checks_every_point_before_any_grid(tmp_path, capsys, monkeypatch, flags,
                                                   expected_err):
     grids_module = importlib.import_module("spotrank.grids")

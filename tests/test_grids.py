@@ -498,6 +498,18 @@ def test_sweep_error_names_the_offending_tuple():
         "sweep point z2_p0.5_upvote_linear: u_max=10 cannot cover u up to 30 for kind upvote")
 
 
+def test_sweep_spec_refuses_a_grid_row_beyond_the_address_space():
+    with pytest.raises(MemoryError, match=f"^a grid row of {2**62 + 1} cells"):
+        SweepSpec(
+            base=GridSpec(2, 2**62, Maxima(2**63 - 1, 2**63 - 1, 2**63 - 1),
+                          ImprovedScorer(ScoringConfig()), 1),
+            z_values=(2.0,),
+            p_values=(0.5,),
+            kinds=(SiKind.WHOLE,),
+            transforms=(LINEAR,),
+        )
+
+
 def test_sweep_requires_improved_base():
     with pytest.raises(ValueError):
         SweepSpec(

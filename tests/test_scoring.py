@@ -2,11 +2,12 @@ import math
 import random
 import struct
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from spotrank.grids import WilsonScorer
+from spotrank.grids import AverageRatingScorer, GridSpec, ImprovedScorer, WilsonScorer, check_grid
 from spotrank.scoring import (
     Bound,
     ConfigError,
@@ -28,10 +29,10 @@ from spotrank.scoring import (
     poly,
     si_range,
     spotlight_index,
-    validate_config,
     wilson_interval,
 )
 from spotrank.simulate import AnswerProfile
+from spotrank.state import NegativeCountError, QuestionState
 
 from helpers import spotlight_index_reference, wilson_bisect, wilson_interval_reference
 
@@ -97,10 +98,8 @@ def test_z_outside_the_config_rule_is_refused_by_every_scalar_entry_point(z):
         wilson_interval(VoteTally(3, 1), z)
     with pytest.raises(ValueError, match="^z must be non-negative$"):
         wilson_interval(VoteTally(0, 0), z)
-    with pytest.raises(ValueError, match="^z must be non-negative$"):
-        combined_score(VoteTally(3, 1), Maxima(4, 3, 1), ScoringConfig(z=z))
     with pytest.raises(ConfigError) as exc_info:
-        validate_config(ScoringConfig(z=z))
+        ScoringConfig(z=z)
     assert (exc_info.value.field, exc_info.value.reason) == (
         "z", f"must be a non-negative real, got {z}")
 
@@ -129,13 +128,13 @@ _REAL_PARAMETER_CHECKS = {
                           lambda v: (ValueError, "z must be non-negative")),
     "WilsonScorer-z": (WilsonScorer, _NON_NEGATIVE,
                        lambda v: (ValueError, "z must be non-negative")),
-    "validate_config-z": (lambda v: validate_config(ScoringConfig(z=v)), _NON_NEGATIVE,
-                          lambda v: (ConfigError, ("z", f"must be a non-negative real, got {_spelled(v)}"))),
-    "validate_config-p_weight": (
-        lambda v: validate_config(ScoringConfig(p_weight=v)), _UNIT,
+    "ScoringConfig-z": (lambda v: ScoringConfig(z=v), _NON_NEGATIVE,
+                        lambda v: (ConfigError, ("z", f"must be a non-negative real, got {_spelled(v)}"))),
+    "ScoringConfig-p_weight": (
+        lambda v: ScoringConfig(p_weight=v), _UNIT,
         lambda v: (ConfigError, ("p_weight", f"must be in [0, 1], got {_spelled(v)}"))),
-    "validate_config-exponent": (
-        lambda v: validate_config(ScoringConfig(si_transform=poly(v))), _POSITIVE,
+    "ScoringConfig-exponent": (
+        lambda v: ScoringConfig(si_transform=poly(v)), _POSITIVE,
         lambda v: (ConfigError, ("si_transform.exponent",
                                  f"poly transform needs a positive exponent, got {_spelled(v)}"))),
     "AnswerProfile-up_probability": (
@@ -645,29 +644,59 @@ def test_combined_range_is_the_blend_of_its_endpoints(kind, p_weight):
 # --- config validation -------------------------------------------------------
 
 
-def test_valid_config_passes_through():
+def test_valid_config_builds_and_replace_rechecks():
     config = ScoringConfig(z=2.0, p_weight=0.5)
-    assert validate_config(config) is config
+    assert replace(config, p_weight=1.0).p_weight == 1.0
+    with pytest.raises(ConfigError) as exc_info:
+        replace(config, p_weight=2.0)
+    assert exc_info.value.field == "p_weight"
 
 
+# a config that cannot be built cannot reach a ranking path (QuestionState.rank,
+# rank_answers, combined_score, simulate): P = 5 used to rank, poly(nan) to score
+# NaN above every real score, and poly(-1.0) to divide by zero on an unvoted tally
 @pytest.mark.parametrize(
-    "config,field",
+    "kwargs,field",
     [
-        (ScoringConfig(p_weight=1.5), "p_weight"),
-        (ScoringConfig(p_weight=-0.1), "p_weight"),
-        (ScoringConfig(z=-1.0), "z"),
-        (ScoringConfig(si_transform=SiTransform("poly", 0.0)), "si_transform.exponent"),
-        (ScoringConfig(si_transform=SiTransform("poly", -2.0)), "si_transform.exponent"),
-        (ScoringConfig(n_max_floor=0), "n_max_floor"),
+        ({"p_weight": 5}, "p_weight"),
+        ({"p_weight": 1.5}, "p_weight"),
+        ({"p_weight": -0.1}, "p_weight"),
+        ({"z": -1.0}, "z"),
+        ({"si_transform": SiTransform("poly", 0.0)}, "si_transform.exponent"),
+        ({"si_transform": SiTransform("poly", -2.0)}, "si_transform.exponent"),
+        ({"si_transform": poly(-1.0)}, "si_transform.exponent"),
+        ({"si_transform": poly(math.nan)}, "si_transform.exponent"),
+        ({"n_max_floor": 0}, "n_max_floor"),
         # past str's digit limit: quoted by its size
-        (ScoringConfig(n_max_floor=-(10**5000)), "n_max_floor"),
+        ({"n_max_floor": -(10**5000)}, "n_max_floor"),
     ],
 )
-def test_invalid_configs_name_the_field(config, field):
+def test_invalid_configs_name_the_field(kwargs, field):
     with pytest.raises(ConfigError) as exc_info:
-        validate_config(config)
+        ScoringConfig(**kwargs)
     assert exc_info.value.field == field
     assert field in str(exc_info.value)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: VoteTally(-(10**5000), 0), ValueError,
+     f"vote counts must be non-negative, got ({_spelled(-(10**5000))}, 0)"),
+    (lambda: check_grid(GridSpec(10**5000, 0, Maxima(1, 1, 1), ImprovedScorer(ScoringConfig()))),
+     InconsistentMaximaError,
+     f"n_max=1 cannot cover u+d up to {_spelled(10**5000)} for kind whole"),
+    (lambda: check_grid(GridSpec(0, 10**5000, Maxima(1, 1, 1), AverageRatingScorer())),
+     MemoryError, f"a grid row of {_spelled(10**5000)} cells does not fit in memory"),
+    (lambda: check_grid(GridSpec(10**5000, 0, Maxima(1, 1, 1), AverageRatingScorer())),
+     ValueError,
+     f"a grid of {_spelled(10**5000)} x 1 cells has more cells than an int64 can count"),
+    (lambda: QuestionState("q").apply_delta("a", -(10**5000), 0), NegativeCountError,
+     f"event would drive answer 'a' to ({_spelled(-(10**5000))}, 0)"),
+], ids=["VoteTally", "check_coverage", "grid-row", "grid-int64", "apply_delta"])
+def test_a_message_quotes_an_integer_past_the_str_limit_by_its_size(call, error, message):
+    with pytest.raises(error) as exc_info:
+        call()
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == message
 
 
 # --- type invariants ---------------------------------------------------------
