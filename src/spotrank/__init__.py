@@ -46,7 +46,6 @@ from .grids import (
     GridSpec,
     ImprovedScorer,
     ScoreGrid,
-    SweepPoint,
     SweepSpec,
     WilsonScorer,
     emit_csv,

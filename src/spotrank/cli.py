@@ -23,7 +23,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -569,10 +569,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def _outputs(targets: Iterable[str | Path]) -> Iterator[list[str]]:
     """Yield the path each target's bytes go to, once no two targets name one
     file (compared after ``realpath``: ``F``, ``sub/../F`` and a link to ``F``
-    are one) and none is a directory.  A regular or absent target is staged
-    beside the file it names, so a link is written through, and renamed onto
-    it, with the permission bits it had, only if the block ends without
-    error; any other target, such as a FIFO or a device, is written in place."""
+    are one) and none is a directory or, as ``F/`` is, spelled as one.  A
+    regular or absent target is staged beside the file it names, so a link is
+    written through, and renamed onto it, with the permission bits it had,
+    only if the block ends without error; any other target, such as a FIFO or
+    a device, is written in place.  An error names the target as given."""
     targets = list(map(str, targets))
     # realpath, as Path.resolve, but without raising on a symlink loop
     reals = [os.path.realpath(target) for target in targets]
@@ -584,12 +585,16 @@ def _outputs(targets: Iterable[str | Path]) -> Iterator[list[str]]:
             mode = os.stat(real).st_mode
         except FileNotFoundError:
             mode = None  # staged, as a regular file is, with the mode open() gives
-        if mode is not None and stat.S_ISDIR(mode):
+        except OSError as exc:
+            exc.filename = target
+            raise
+        # realpath drops a trailing "/", "/." or "/..", which open() takes as a directory
+        if os.path.basename(target) in ("", ".", "..") or mode is not None and stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
         path = target
         if mode is None or stat.S_ISREG(mode):
-            head, name = os.path.split(real)
-            path = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            # a short name of its own, so any target the OS can name can be staged
+            path = os.path.join(os.path.dirname(real), f".spotrank-{os.getpid()}-{len(staged)}.tmp")
             staged[path] = (real, target, mode)
         paths.append(path)
     try:
@@ -604,7 +609,8 @@ def _outputs(targets: Iterable[str | Path]) -> Iterator[list[str]]:
         raise
     finally:
         for tmp in staged:
-            Path(tmp).unlink(missing_ok=True)
+            with suppress(OSError):  # a failed cleanup never replaces the error reported
+                os.unlink(tmp)
 
 
 # --- grid / sweep -----------------------------------------------------------
@@ -667,13 +673,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     except ConfigError as exc:  # reported by its flag, without the point
         raise CliError(f"{_SWEEP_FIELD_FLAGS[exc.field]}: {exc.reason}") from exc
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # a row too large: _too_large's message
         raise CliError(str(exc)) from exc
-    except MemoryError as exc:
-        raise _too_large(base) from exc
     out_dir = Path(opts["out-dir"])
-    outputs = [(out_dir / f"grid_{point.slug()}.csv", grid_spec)
-               for point, grid_spec in spec.points()]
+    outputs = [(out_dir / f"grid_{slug}.csv", grid_spec) for slug, grid_spec in spec.grids]
     try:
         with _outputs(path for path, _ in outputs) as paths:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, product
 from pathlib import Path
 from typing import Iterator, TextIO, Union
@@ -134,33 +134,25 @@ def _slug_number(x: float) -> str:
     return format(x, "g") if abs(x) <= _FLOAT_MAX and float(format(x, "g")) == x else _quote(x)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    z: float
-    p_weight: float
-    kind: SiKind
-    transform: SiTransform
-
-    def slug(self) -> str:
-        """Filename fragment, distinct for distinct points, e.g. ``z2_p0.5_whole_linear``."""
-        t = self.transform.name
-        if t == "poly":
-            t += _slug_number(self.transform.exponent)
-        return f"z{_slug_number(self.z)}_p{_slug_number(self.p_weight)}_{self.kind.value}_{t}"
-
-    def config(self, base: ScoringConfig) -> ScoringConfig:
-        return replace(base, z=self.z, p_weight=self.p_weight, si_kind=self.kind,
-                       si_transform=self.transform)
+def _slug(z: float, p_weight: float, kind: SiKind, transform: SiTransform) -> str:
+    """Filename fragment of a sweep point, distinct for distinct points, e.g.
+    ``z2_p0.5_whole_linear``."""
+    t = transform.name
+    if t == "poly":
+        t += _slug_number(transform.exponent)
+    return f"z{_slug_number(z)}_p{_slug_number(p_weight)}_{kind.value}_{t}"
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Cartesian sweep over z, p_weight, kind and transform on one base grid.
 
-    Every point is checked here, one at a time in sweep order, so any spec
-    can be swept: its config is built, then :func:`check_grid` runs on its
-    grid.  A bad config or uncovered grid raises its own error, prefixed
-    ``sweep point <slug>: ``; a grid too large raises as :func:`check_grid` does.
+    Every point is built and checked here, one at a time in z-outer, then P,
+    kind, transform order: its config is built, then :func:`check_grid` runs
+    on its grid.  A bad config or uncovered grid raises its own error,
+    prefixed ``sweep point <slug>: ``; a grid too large raises as
+    :func:`check_grid` does.  :attr:`grids` holds each point's slug and
+    checked grid spec, in sweep order, so any spec can be swept.
     """
 
     base: GridSpec
@@ -168,29 +160,29 @@ class SweepSpec:
     p_values: tuple[float, ...]
     kinds: tuple[SiKind, ...]
     transforms: tuple[SiTransform, ...]
+    grids: tuple[tuple[str, GridSpec], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.base.scorer, ImprovedScorer):
+        base = self.base
+        if not isinstance(base.scorer, ImprovedScorer):
             raise ValueError("sweep varies blended-score parameters; base scorer must be ImprovedScorer")
         for name in ("z_values", "p_values", "kinds", "transforms"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-        for _ in self.points():  # drawing a point checks it
-            pass
-
-    def points(self) -> Iterator[tuple[SweepPoint, GridSpec]]:
-        """Each point and its checked grid spec, in z-outer, then P, kind, transform order."""
-        base = self.base
-        base_config = base.scorer.config  # type: ignore[union-attr]
-        for values in product(self.z_values, self.p_values, self.kinds, self.transforms):
-            point = SweepPoint(*values)
+        grids = []
+        for z, p_weight, kind, transform in product(self.z_values, self.p_values, self.kinds,
+                                                    self.transforms):
+            slug = _slug(z, p_weight, kind, transform)
             try:
-                grid = replace(base, scorer=ImprovedScorer(point.config(base_config)))
+                config = replace(base.scorer.config, z=z, p_weight=p_weight, si_kind=kind,
+                                 si_transform=transform)
+                grid = replace(base, scorer=ImprovedScorer(config))
                 check_grid(grid)
             except (ConfigError, InconsistentMaximaError) as exc:
-                exc.args = (f"sweep point {point.slug()}: {exc}",)  # type and field kept
+                exc.args = (f"sweep point {slug}: {exc}",)  # type and field kept
                 raise
-            yield point, grid
+            grids.append((slug, grid))
+        object.__setattr__(self, "grids", tuple(grids))
 
 
 def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> np.ndarray:

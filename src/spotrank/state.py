@@ -81,42 +81,33 @@ class RankedList:
         return tuple(answer_id for answer_id, _ in self.entries)
 
 
-def rank_answers(
-    answers: Iterable[AnswerEntry],
-    config: ScoringConfig,
-    raw_maxima: tuple[int, int, int] | None = None,
-) -> RankedList:
+def rank_answers(answers: Iterable[AnswerEntry], config: ScoringConfig) -> RankedList:
     """Score and order a batch of answers under one maxima snapshot.
 
-    When ``raw_maxima`` is omitted it is computed from the answers themselves,
-    then floored per ``config.n_max_floor``.  Answers with equal tallies share
-    one (frozen) :class:`ScoreBreakdown`.
+    The maxima are those of the answers themselves, floored per
+    ``config.n_max_floor``.  Answers with equal tallies share one (frozen)
+    :class:`ScoreBreakdown`.
     """
     # sorted stably by created_seq, an answer's position breaks ties as its
     # created_seq does, and answers with equal seqs keep their input order
     entries = sorted(answers, key=lambda entry: entry.created_seq)
     counts = [(entry.tally.up, entry.tally.down) for entry in entries]
-    order, scored, maxima = _rank_counts(counts, config, raw_maxima)
+    order, scored, maxima = _rank_counts(counts, config)
     return RankedList(tuple((entries[i].answer_id, scored[counts[i]]) for i in order), maxima)
 
 
 def _rank_counts(
-    counts: Sequence[tuple[int, int]],
-    config: ScoringConfig,
-    raw_maxima: tuple[int, int, int] | None = None,
+    counts: Sequence[tuple[int, int]], config: ScoringConfig
 ) -> tuple[list[int], dict[tuple[int, int], ScoreBreakdown], Maxima]:
     """The ranking kernel: the positions of ``counts`` in rank order, the
-    breakdown of each distinct ``(up, down)`` and the floored maxima they
-    were scored against.
+    breakdown of each distinct ``(up, down)`` and the maxima they were
+    scored against: those of the counts, floored per config.
 
     Positions order by higher combined score, then higher up-count, then
-    lower position.  When ``raw_maxima`` is omitted it is computed from the
-    counts.  Under one maxima snapshot the score depends on the tally alone,
-    so each distinct ``(up, down)`` is scored once.
+    lower position.  Under one maxima snapshot the score depends on the tally
+    alone, so each distinct ``(up, down)`` is scored once.
     """
-    if raw_maxima is None:
-        raw_maxima = _max_counts(counts)
-    maxima = effective_maxima(*raw_maxima, floor=config.n_max_floor)
+    maxima = effective_maxima(*_max_counts(counts), floor=config.n_max_floor)
     scored: dict[tuple[int, int], ScoreBreakdown] = {}
     for key in counts:
         if key not in scored:

@@ -300,13 +300,11 @@ def brute_maxima(entries) -> tuple[int, int, int]:
             max((tally.down for tally in tallies), default=0))
 
 
-def rank_answers_reference(answers, config, raw_maxima=None) -> RankedList:
+def rank_answers_reference(answers, config) -> RankedList:
     """One ``combined_score`` call per answer: the oracle for
     ``state.rank_answers``."""
     entries = list(answers)
-    if raw_maxima is None:
-        raw_maxima = brute_maxima(entries)
-    maxima = effective_maxima(*raw_maxima, floor=config.n_max_floor)
+    maxima = effective_maxima(*brute_maxima(entries), floor=config.n_max_floor)
     scored = [(entry, combined_score(entry.tally, maxima, config)) for entry in entries]
     scored.sort(key=lambda pair: (-pair[1].combined, -pair[0].tally.up, pair[0].created_seq))
     return RankedList(tuple((e.answer_id, b) for e, b in scored), maxima)
@@ -396,7 +394,7 @@ def replay_reference(lines, config=ScoringConfig()) -> tuple[int, str, str]:
     out = []
     for question_id, state in states.items():
         entries = state.entries()
-        ranked = rank_answers_reference(entries, config, brute_maxima(entries))
+        ranked = rank_answers_reference(entries, config)
         out.append(ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries},
                                      question_id=question_id))
     return 0, "".join(out), ""

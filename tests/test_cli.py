@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import brute_maxima, rank_reference, ranking_reference, replay_reference
+from helpers import rank_reference, ranking_reference, replay_reference
 from spotrank import cli
 from spotrank.cli import main
 from spotrank.scoring import (EXP, LINEAR, LOG10, ScoringConfig, SiKind, SiTransform, VoteTally,
@@ -596,7 +596,7 @@ def test_replay_output_bytes_match_json_dumps(tmp_path, capsys):
     expected = ""
     for question_id, state in states.items():
         entries = state.entries()
-        ranked = rank_answers(entries, ScoringConfig(), brute_maxima(entries))
+        ranked = rank_answers(entries, ScoringConfig())
         expected += ranking_reference(ranked.entries, {e.answer_id: e.tally for e in entries},
                                       question_id=question_id)
     assert out == expected
@@ -1043,6 +1043,71 @@ def test_staged_output_keeps_the_targets_permission_bits(tmp_path, capsys):
     assert link.read_bytes() == b"old bytes\n"
 
 
+def test_any_target_name_the_os_takes_is_staged_and_a_longer_one_is_named_as_given(tmp_path,
+                                                                                   capsys):
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    grid = ("grid", "--u-range", "3", "--d-range", "3", "--n-max", "10")
+    rc, expected, _ = run(capsys, *grid)
+    assert rc == 0
+    for length in (name_max - 1, name_max):
+        target = tmp_path / ("g" * (length - 4) + ".csv")
+        assert run(capsys, *grid, "--out", str(target)) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == expected
+        target.unlink()
+    assert list(tmp_path.iterdir()) == []
+    target = tmp_path / ("g" * (name_max - 3) + ".csv")
+    assert run(capsys, *grid, "--out", str(target)) == (
+        2, "", f"error: cannot write output: [Errno 36] File name too long: '{target}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_cleanup_leaves_the_write_error_standing(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "grid.csv"
+    target.write_bytes(b"old bytes\n")
+
+    def half_then_fail(grid, destination):
+        with open(destination, "w", encoding="utf-8") as fh:
+            fh.write("# partial\nu,d,score\n0,0,")
+        raise OSError(28, "No space left on device")
+
+    def refused(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "emit_csv", half_then_fail)
+    monkeypatch.setattr(os, "unlink", refused)
+    rc, out, err = run(capsys, "grid", "--u-range", "2", "--d-range", "2",
+                       "--n-max", "10", "--out", str(target))
+    monkeypatch.undo()
+    assert (rc, out, err) == (2, "", "error: cannot write output: [Errno 28] No space left on device\n")
+    assert target.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("spelling", ["{}/", "{}/.", "{}//"])
+@pytest.mark.parametrize("command,exists", [("grid", False), ("grid", True),
+                                            ("simulate", False)])
+def test_a_target_spelled_as_a_directory_exits_2_and_nothing_is_made(tmp_path, capsys, command,
+                                                                     exists, spelling):
+    work = tmp_path / "work"
+    work.mkdir()
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, PROFILES)
+    name = work / "report.csv"
+    if exists:
+        name.write_bytes(b"old bytes\n")
+    target = spelling.format(name)
+    argv = {
+        "grid": ["grid", "--u-range", "2", "--d-range", "2", "--n-max", "10", "--out", target],
+        "simulate": ["simulate", str(profiles), "--events", "20", "--trajectory-out", target,
+                     "--report-out", str(work / "r.json")],
+    }[command]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: cannot write output: [Errno 21] Is a directory: "
+                                     f"'{target}'\n")
+    assert [p.name for p in work.iterdir()] == (["report.csv"] if exists else [])
+    if exists:
+        assert name.read_bytes() == b"old bytes\n"
+
+
 def test_grid_step_grid_shape(capsys):
     rc, out, _ = run(capsys, "grid", "--u-range", "20", "--d-range", "10",
                      "--n-max", "60", "--step", "5")
@@ -1321,6 +1386,48 @@ def test_sweep_grid_too_large_for_memory_exits_2_and_removes_partial_outputs(
     assert err == "error: a grid row of 3 cells does not fit in memory\n"
     assert len(calls) == 2
     assert list(out_dir.iterdir()) == []  # the first grid's file was rolled back
+
+
+def test_sweep_checks_each_grid_once_when_it_is_built_and_once_when_it_is_written(
+        tmp_path, capsys, monkeypatch):
+    grids_module = importlib.import_module("spotrank.grids")
+    calls = []
+    check_grid = grids_module.check_grid
+    monkeypatch.setattr(grids_module, "check_grid",
+                        lambda spec: calls.append(spec) or check_grid(spec))
+    rc, out, err = run(capsys, "sweep", "--u-range", "2", "--d-range", "2", "--n-max", "10",
+                       "--z-values", "1,2", "--p-values", "0,0.5", "--transforms", "linear,log",
+                       "--out-dir", str(tmp_path / "grids"))
+    assert (rc, err) == (0, "")
+    points = len(out.splitlines())
+    assert points == 8
+    assert len(calls) == 2 * points
+    assert calls[:points] == calls[points:]  # built in sweep order, written in sweep order
+
+
+def test_each_sweep_file_is_the_bytes_of_grid_out_at_its_point(tmp_path, capsys):
+    flags = ["--u-range", "3", "--d-range", "4", "--n-max", "12", "--poly-a", "0.5"]
+    out_dir = tmp_path / "grids"
+    rc, out, err = run(capsys, "sweep", *flags, "--z-values", "0,2",
+                       "--p-values", "0.1234561,1", "--kinds", ",".join(k.value for k in SiKind),
+                       "--transforms", "linear,log,exp,poly", "--out-dir", str(out_dir))
+    assert (rc, err) == (0, "")
+    printed = out.splitlines()
+    assert len(printed) == 2 * 2 * len(SiKind) * 4
+    expected = []
+    for z in ("0", "2"):
+        for p_weight in ("0.1234561", "1"):
+            for kind in SiKind:
+                for transform in ("linear", "log", "exp", "poly"):
+                    target = tmp_path / "grid.csv"
+                    assert run(capsys, "grid", *flags, "--z", z, "--p-weight", p_weight,
+                               "--kind", kind.value, "--transform", transform,
+                               "--out", str(target)) == (0, "", "")
+                    slug = transform + ("0.5" if transform == "poly" else "")
+                    path = out_dir / f"grid_z{z}_p{p_weight}_{kind.value}_{slug}.csv"
+                    assert path.read_bytes() == target.read_bytes(), path.name
+                    expected.append(str(path))
+    assert printed == expected
 
 
 # --- simulate ------------------------------------------------------------------

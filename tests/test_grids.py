@@ -14,9 +14,9 @@ from spotrank.grids import (
     ImprovedScorer,
     InconsistentMaximaError,
     ScoreGrid,
-    SweepPoint,
     SweepSpec,
     WilsonScorer,
+    _slug,
     emit_csv,
     grid_scores,
 )
@@ -435,12 +435,12 @@ def test_canonical_sweep_yields_twenty_grids_in_order():
         kinds=(SiKind.WHOLE,),
         transforms=(LINEAR,),
     )
-    results = [(point, grid_scores(grid_spec)) for point, grid_spec in spec.points()]
+    results = [(grid_spec.scorer.config, grid_scores(grid_spec)) for _, grid_spec in spec.grids]
     assert len(results) == 20
-    assert [point.z for point, _ in results[:5]] == [0.0] * 5
-    assert [point.p_weight for point, _ in results[:5]] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert [config.z for config, _ in results[:5]] == [0.0] * 5
+    assert [config.p_weight for config, _ in results[:5]] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert results[5][0].z == 1.0
-    slugs = [point.slug() for point, _ in results]
+    slugs = [slug for slug, _ in spec.grids]
     assert slugs[0] == "z0_p0_whole_linear"
     assert len(set(slugs)) == 20
 
@@ -453,7 +453,7 @@ def test_figure_series_sweep_shape():
         kinds=(SiKind.WHOLE, SiKind.NET, SiKind.POSITIVE),
         transforms=(LINEAR,),
     )
-    assert len([grid_scores(grid_spec) for _, grid_spec in spec.points()]) == 9
+    assert len([grid_scores(grid_spec) for _, grid_spec in spec.grids]) == 9
 
 
 def test_single_tuple_sweep_equals_direct_grid():
@@ -464,12 +464,12 @@ def test_single_tuple_sweep_equals_direct_grid():
         kinds=(SiKind.NET,),
         transforms=(LOG10,),
     )
-    [(point, grid_spec)] = list(spec.points())
+    [(slug, grid_spec)] = spec.grids
     swept = grid_scores(grid_spec)
     direct = grid_scores(improved_spec(8, 8, n_max=40, z=2.0, p_weight=0.25,
                                        si_kind=SiKind.NET, si_transform=LOG10))
     assert np.array_equal(swept.scores, direct.scores)
-    assert point.slug() == "z2_p0.25_net_log"
+    assert slug == "z2_p0.25_net_log"
 
 
 def test_sweep_error_names_the_offending_tuple():
@@ -480,7 +480,7 @@ def test_sweep_error_names_the_offending_tuple():
         kinds=(SiKind.WHOLE, SiKind.UPVOTE),  # upvote needs u_max >= 30; maxima has 100, fine
         transforms=(LINEAR,),
     )
-    assert len([grid_scores(grid_spec) for _, grid_spec in spec.points()]) == 2
+    assert len([grid_scores(grid_spec) for _, grid_spec in spec.grids]) == 2
 
     # the whole kind fits and upvote does not: the spec itself is refused,
     # so no grid of it is ever computed
@@ -562,7 +562,7 @@ def test_sweep_point_past_float_range_is_refused_by_its_field(field, value):
 
 def test_slug_spells_each_value_as_g_where_that_reads_back_and_in_full_elsewhere():
     def slug(z=2.0, p_weight=0.5, exponent=2.0):
-        return SweepPoint(z, p_weight, SiKind.WHOLE, poly(exponent)).slug()
+        return _slug(z, p_weight, SiKind.WHOLE, poly(exponent))
 
     assert slug() == "z2_p0.5_whole_poly2"
     # every P of k/1000 reads back from :g, so such names are as :g writes them

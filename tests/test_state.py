@@ -298,11 +298,10 @@ _RANK_CONFIGS = [
 ], ids=["repeated", "tied", "shuffled"])
 def test_rank_answers_matches_per_answer_reference(entries):
     for config in _RANK_CONFIGS:
-        for raw_maxima in (None, (2000, 1500, 700)):
-            ranked = rank_answers(entries, config, raw_maxima)
-            expected = rank_answers_reference(entries, config, raw_maxima)
-            assert ranked.entries == expected.entries, config
-            assert ranked.maxima == expected.maxima
+        ranked = rank_answers(entries, config)
+        expected = rank_answers_reference(entries, config)
+        assert ranked.entries == expected.entries, config
+        assert ranked.maxima == expected.maxima
 
 
 def test_rank_answers_scores_each_distinct_tally_once(monkeypatch):
@@ -333,14 +332,13 @@ def test_rank_answers_scores_each_distinct_tally_once(monkeypatch):
         max_size=30,
     ),
     config=st.sampled_from(_RANK_CONFIGS),
-    raw_maxima=st.one_of(st.none(), st.just((2000, 1500, 700))),
 )
-def test_rank_answers_matches_reference_when_seqs_are_not_positions(rows, config, raw_maxima):
+def test_rank_answers_matches_reference_when_seqs_are_not_positions(rows, config):
     # seqs repeat, skip values, go negative and come in any order
     entries = [AnswerEntry(f"a{i}", VoteTally(up, down), seq)
                for i, (up, down, seq) in enumerate(rows)]
-    ranked = rank_answers(entries, config, raw_maxima)
-    expected = rank_answers_reference(entries, config, raw_maxima)
+    ranked = rank_answers(entries, config)
+    expected = rank_answers_reference(entries, config)
     assert ranked.entries == expected.entries
     assert ranked.maxima == expected.maxima
 
@@ -361,11 +359,10 @@ def test_state_rank_equals_rank_answers_of_its_entries(steps, configs):
                 state.apply_event(event(f"a{answer_index}", up=up_delta, down=down_delta))
             except NegativeCountError:
                 pass  # a retraction below zero; the state is unchanged
-    raw_maxima = brute_maxima(state.entries())
     for config in configs:
         ranked = state.rank(config)
-        assert ranked == rank_answers(state.entries(), config, raw_maxima)
-        assert ranked == rank_answers_reference(state.entries(), config, raw_maxima)
+        assert ranked == rank_answers(state.entries(), config)
+        assert ranked == rank_answers_reference(state.entries(), config)
 
 
 def test_maxima_unchanged_implies_si_unchanged():
