@@ -22,12 +22,9 @@ from .scoring import (
     VoteTally,
     WholeSiVariant,
     WilsonInterval,
-    average_rating,
-    combined_range,
     combined_score,
     effective_maxima,
     poly,
-    si_range,
     spotlight_index,
     wilson_interval,
 )

@@ -185,12 +185,16 @@ class _Flag(NamedTuple):
     required: bool = False  # given on the command line only, never in a config file
 
 
-_SCORING_FLAGS = {
+# the four values a sweep varies; sweep takes lists of them instead
+_BLEND_FLAGS = {
     "z": _Flag(_to_float, "2", "normal quantile"),
     "p-weight": _Flag(_to_float, "0.5", "weight of the Wilson term, in [0, 1]"),
     "kind": _Flag(_Choice(_KINDS), "whole", "spotlight index kind"),
     "transform": _Flag(_Choice(_TRANSFORM_BY_NAME), "linear", "index transform"),
-    "poly-a": _Flag(_to_float, "2", "exponent for --transform poly"),
+}
+
+_SCORING_FLAGS = {
+    "poly-a": _Flag(_to_float, "2", "exponent of the poly transform"),
     "bound": _Flag(_Choice(_BOUNDS), "lower", "which interval bound to blend"),
     "n-max-floor": _Flag(_to_int, "1", "minimum substituted for small maxima"),
     "whole-variant": _Flag(_Choice(_VARIANTS), "plain",
@@ -281,16 +285,15 @@ def _transform_from(name: str, poly_a: float) -> SiTransform:
 
 
 def resolve_scoring_config(opts: dict[str, Any]) -> ScoringConfig:
+    """The config of the scoring flags.  Without the blend flags (``sweep``)
+    its blend fields keep ScoringConfig's defaults, which every sweep point
+    replaces."""
     try:
-        return ScoringConfig(
-            z=opts["z"],
-            p_weight=opts["p-weight"],
-            si_kind=opts["kind"],
-            si_transform=_transform_from(opts["transform"], opts["poly-a"]),
-            bound=opts["bound"],
-            n_max_floor=opts["n-max-floor"],
-            whole_variant=opts["whole-variant"],
-        )
+        blend = {} if "z" not in opts else {
+            "z": opts["z"], "p_weight": opts["p-weight"], "si_kind": opts["kind"],
+            "si_transform": _transform_from(opts["transform"], opts["poly-a"])}
+        return ScoringConfig(**blend, bound=opts["bound"], n_max_floor=opts["n-max-floor"],
+                             whole_variant=opts["whole-variant"])
     except ConfigError as exc:  # it names a field; users see flag spellings
         flag = "poly-a" if exc.field == "si_transform.exponent" else exc.field.replace("_", "-")
         raise CliError(f"{flag}: {exc.reason}") from exc
@@ -766,26 +769,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # each subcommand: its summary, its positional argument (name, help) if any,
 # its flag groups in --help order, and its handler
 _COMMANDS = {
-    "score": ("score one up/down tally", None, (_SCORE_FLAGS, _SCORING_FLAGS), cmd_score),
+    "score": ("score one up/down tally", None, (_SCORE_FLAGS, _BLEND_FLAGS, _SCORING_FLAGS),
+              cmd_score),
     "rank": ("rank a JSONL tally file",
              ("tallies", "JSONL file of {answer_id, up, down}; - for stdin"),
-             (_SCORING_FLAGS,), cmd_rank),
+             (_BLEND_FLAGS, _SCORING_FLAGS), cmd_rank),
     "replay": ("replay a JSONL vote-event log",
                ("events", "ts-sorted JSONL of {question_id, answer_id, up_delta, down_delta, ts};"
                 " - for stdin"),
-               (_SCORING_FLAGS,), cmd_replay),
+               (_BLEND_FLAGS, _SCORING_FLAGS), cmd_replay),
     "grid": ("emit one score grid as CSV", None,
-             (_GRID_FLAGS, _GRID_OUT_FLAGS, _SCORING_FLAGS), cmd_grid),
+             (_GRID_FLAGS, _GRID_OUT_FLAGS, _BLEND_FLAGS, _SCORING_FLAGS), cmd_grid),
     "sweep": ("emit one CSV per parameter tuple", None,
               (_GRID_FLAGS, _SWEEP_FLAGS, _SCORING_FLAGS), cmd_sweep),
     "simulate": ("run a seeded vote-stream simulation",
                  ("profiles", "JSONL file of {answer_id, up_probability, arrival_weight}; - for stdin"),
-                 (_SIMULATE_FLAGS, _SCORING_FLAGS), cmd_simulate),
+                 (_SIMULATE_FLAGS, _BLEND_FLAGS, _SCORING_FLAGS), cmd_simulate),
 }
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as a :class:`CliError`: one ``error:`` line, as for any bad input."""
+    """Raises a usage error as a :class:`CliError`: one ``error:`` line, as for any bad input.
+    A flag has one spelling: a prefix of it is an unrecognized argument."""
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         raise CliError(message)

@@ -20,7 +20,7 @@ from enum import Enum
 
 
 class ConfigError(ValueError):
-    """Raised by :class:`ScoringConfig`; names the offending field."""
+    """Raised by :class:`ScoringConfig` and :class:`SiTransform`; names the offending field."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -84,6 +84,9 @@ class SiKind(Enum):
 
 
 _TRANSFORM_NAMES = ("linear", "log", "exp", "poly")
+# the upper end of every real parameter's one comparison chain: NaN fails
+# every comparison, and +-inf and an int beyond float range fail the bound
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,8 @@ class SiTransform:
     * ``poly``   - power function (ratio ** exponent), exponent > 0; slow
       early growth that accelerates late.
 
-    ``exponent`` is only consulted by ``poly``.
+    ``exponent`` is only consulted, and checked, by ``poly``: a bad one
+    raises :class:`ConfigError` naming ``si_transform.exponent``.
     """
 
     name: str
@@ -106,6 +110,9 @@ class SiTransform:
     def __post_init__(self):
         if self.name not in _TRANSFORM_NAMES:
             raise ValueError(f"unknown transform {self.name!r}, expected one of {_TRANSFORM_NAMES}")
+        if self.name == "poly" and not 0.0 < self.exponent <= _FLOAT_MAX:
+            raise ConfigError("si_transform.exponent", "poly transform needs a positive exponent, "
+                                                       f"got {_quote(self.exponent)}")
 
 
 LINEAR = SiTransform("linear")
@@ -155,10 +162,6 @@ class ScoringConfig:
             raise ConfigError("p_weight", f"must be in [0, 1], got {_quote(self.p_weight)}")
         if not _valid_z(self.z):
             raise ConfigError("z", f"must be a non-negative real, got {_quote(self.z)}")
-        exponent = self.si_transform.exponent
-        if self.si_transform.name == "poly" and not 0.0 < exponent <= _FLOAT_MAX:
-            raise ConfigError("si_transform.exponent",
-                              f"poly transform needs a positive exponent, got {_quote(exponent)}")
         if self.n_max_floor < 1:
             raise ConfigError("n_max_floor", f"must be >= 1, got {_quote(self.n_max_floor)}")
 
@@ -181,7 +184,6 @@ class ScoreBreakdown:
     """One answer's score with its components: combined = P*w + (1-P)*si."""
 
     wilson: WilsonInterval
-    wilson_used: float
     si: float
     combined: float
 
@@ -203,9 +205,6 @@ def _wilson_roots(up, n, z: float, sqrt, maximum, minimum):
             minimum(1.0, maximum((center + spread) / denom, p)))
 
 
-# the upper end of every real parameter's one comparison chain: NaN fails
-# every comparison, and +-inf and an int beyond float range fail the bound
-_FLOAT_MAX = sys.float_info.max
 _UNVOTED = WilsonInterval(0.0, 1.0)  # no votes: total uncertainty
 
 
@@ -241,13 +240,6 @@ def wilson_interval(tally: VoteTally, z: float) -> WilsonInterval:
     if n == 0:
         return _UNVOTED
     return WilsonInterval(*_wilson_roots(tally.up, n, z, math.sqrt, max, min))
-
-
-def average_rating(tally: VoteTally) -> float:
-    """Plain up-vote proportion; 0.0 for an unvoted answer by convention."""
-    if tally.n == 0:
-        return 0.0
-    return tally.up / tally.n
 
 
 def effective_maxima(raw_n_max: int, raw_u_max: int, raw_d_max: int, floor: int = 1) -> Maxima:
@@ -335,7 +327,9 @@ def spotlight_index(
 
 def check_coverage(kind: SiKind, maxima: Maxima, up: int, down: int) -> None:
     """Raise :class:`InconsistentMaximaError` unless the floored ``maxima`` cover
-    the tally for ``kind``; covered, every transform keeps the index in :func:`si_range`."""
+    the tally for ``kind``; covered, every transform keeps the index within
+    [0, 1] for whole, positive and upvote, [-1, 1] for net and [-1, 0] for
+    negative and downvote."""
     if kind is SiKind.UPVOTE:
         field, counted, count = "u_max", "u", up
     elif kind is SiKind.DOWNVOTE:
@@ -348,28 +342,9 @@ def check_coverage(kind: SiKind, maxima: Maxima, up: int, down: int) -> None:
                                              f"{_quote(count)} for kind {kind.value}")
 
 
-def si_range(kind: SiKind, transform: SiTransform = LINEAR) -> tuple[float, float]:
-    """Theoretical attainable range of the index (closure; transform-independent).
-
-    Every transform maps the linear index monotonically onto the same range;
-    the exponential variants reach the endpoints only in the limit.
-    """
-    if kind in (SiKind.WHOLE, SiKind.POSITIVE, SiKind.UPVOTE):
-        return (0.0, 1.0)
-    if kind is SiKind.NET:
-        return (-1.0, 1.0)
-    return (-1.0, 0.0)
-
-
 def _blend(p_weight, w, si):
     """The score's one blend, for floats and numpy columns alike."""
     return p_weight * w + (1.0 - p_weight) * si
-
-
-def combined_range(kind: SiKind, p_weight: float) -> tuple[float, float]:
-    """Attainable range of the blended score for a given kind and weight."""
-    si_lo, si_hi = si_range(kind)
-    return (_blend(p_weight, 0.0, si_lo), _blend(p_weight, 1.0, si_hi))
 
 
 def combined_score(tally: VoteTally, maxima: Maxima, config: ScoringConfig) -> ScoreBreakdown:
@@ -381,5 +356,5 @@ def combined_score(tally: VoteTally, maxima: Maxima, config: ScoringConfig) -> S
     interval = wilson_interval(tally, config.z)
     used = interval.pick(config.bound)
     si = spotlight_index(tally, maxima, config.si_kind, config.si_transform, config.whole_variant)
-    return ScoreBreakdown(interval, used, si, _blend(config.p_weight, used, si))
+    return ScoreBreakdown(interval, si, _blend(config.p_weight, used, si))
 

@@ -7,6 +7,11 @@ The Wilson bounds are the roots of
 so a bisection root-finder on g is an oracle for the closed-form evaluation:
 it never touches the quadratic's solution formula.
 
+The plain up-vote proportion (the rule of the average-rating grid scorer)
+and the attainable ranges of the spotlight index and of the blended score
+are closed forms here, which the package's kernels and grids are checked
+against.
+
 The output writers have byte oracles here too: the straightforward
 formatting that the fast writers in the package must reproduce exactly.
 The scalar scoring kernel has bit oracles too: the Wilson interval with its
@@ -124,6 +129,32 @@ def wilson_bisect_arrays(
         hi = np.where(take, hi, mid)
     upper = 0.5 * (lo + hi)
     return lower, upper
+
+
+def average_rating(tally: VoteTally) -> float:
+    """Plain up-vote proportion; 0.0 for an unvoted answer by convention."""
+    if tally.n == 0:
+        return 0.0
+    return tally.up / tally.n
+
+
+def si_range(kind: SiKind, transform: SiTransform | None = None) -> tuple[float, float]:
+    """Theoretical attainable range of the index (closure; transform-independent).
+
+    Every transform maps the linear index monotonically onto the same range;
+    the exponential variants reach the endpoints only in the limit.
+    """
+    if kind in (SiKind.WHOLE, SiKind.POSITIVE, SiKind.UPVOTE):
+        return (0.0, 1.0)
+    if kind is SiKind.NET:
+        return (-1.0, 1.0)
+    return (-1.0, 0.0)
+
+
+def combined_range(kind: SiKind, p_weight: float) -> tuple[float, float]:
+    """Attainable range of the blended score for a given kind and weight."""
+    si_lo, si_hi = si_range(kind)
+    return (p_weight * 0.0 + (1.0 - p_weight) * si_lo, p_weight * 1.0 + (1.0 - p_weight) * si_hi)
 
 
 def wilson_interval_reference(tally: VoteTally, z: float) -> WilsonInterval:

@@ -26,17 +26,15 @@ from spotrank.scoring import (
     ScoringConfig,
     SiKind,
     VoteTally,
-    combined_range,
     combined_score,
     effective_maxima,
     poly,
-    si_range,
     spotlight_index,
     wilson_interval,
 )
 from spotrank.state import AnswerEntry, QuestionState, VoteEvent, rank_answers
 
-from helpers import wilson_bisect_arrays
+from helpers import combined_range, si_range, wilson_bisect_arrays
 
 
 def verdict(number, name, ok):

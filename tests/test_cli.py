@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -14,11 +15,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import rank_reference, ranking_reference, replay_reference
+from helpers import rank_reference, ranking_reference, replay_reference, si_range
 from spotrank import cli
 from spotrank.cli import main
 from spotrank.scoring import (EXP, LINEAR, LOG10, ScoringConfig, SiKind, SiTransform, VoteTally,
-                              combined_score, effective_maxima, poly, si_range)
+                              combined_score, effective_maxima, poly)
 from spotrank.state import AnswerEntry, QuestionState, VoteEvent, rank_answers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1248,6 +1249,9 @@ def test_sweep_default_lists_make_twenty_files(tmp_path, capsys):
     (["--z-values", "1,-1", "--p-values", "0.5,2"], "error: p-values: must be in [0, 1], got 2.0\n"),
     (["--transforms", "linear,poly", "--poly-a", "-1"],
      "error: poly-a: poly transform needs a positive exponent, got -1.0\n"),
+    # the transforms are built before any point, so a bad exponent is reported before z
+    (["--z-values", "-1", "--transforms", "poly", "--poly-a", "-1"],
+     "error: poly-a: poly transform needs a positive exponent, got -1.0\n"),
     # the whole kind fits; its grid is not built before upvote fails
     (["--kinds", "whole,upvote", "--u-max", "1"],
      "error: sweep point z0_p0_upvote_linear: u_max=1 cannot cover u up to 2 for kind upvote\n"),
@@ -1261,7 +1265,7 @@ def test_sweep_default_lists_make_twenty_files(tmp_path, capsys):
      "error: two outputs name {out_dir}/grid_z1_p0.5_whole_linear.csv\n"),
     (["--z-values", "1", "--p-values", "0", "--transforms", "poly,poly"],
      "error: two outputs name {out_dir}/grid_z1_p0_whole_poly2.csv\n"),
-], ids=["p", "z", "first-in-sweep-order", "poly-a", "coverage", "point-by-point",
+], ids=["p", "z", "first-in-sweep-order", "poly-a", "poly-a-before-z", "coverage", "point-by-point",
         "row-too-large", "grid-too-tall", "same-p", "same-transform"])
 def test_sweep_checks_every_point_before_any_grid(tmp_path, capsys, monkeypatch, flags,
                                                   expected_err):
@@ -1309,6 +1313,27 @@ def test_sweep_poly_transform_uses_poly_a_flag(tmp_path, capsys):
                    "--transforms", "poly", "--poly-a", "3")
     assert rc == 0
     assert (out_dir / "grid_z2_p0.5_whole_poly3.csv").exists()
+
+
+def _sweep_rows(capsys, out_dir, *flags):
+    """The score rows of each file of a small two-point sweep, in sweep order."""
+    rc, out, err = run(capsys, "sweep", "--u-range", "3", "--d-range", "3", "--n-max", "8",
+                       "--z-values", "2", "--p-values", "0.5", "--transforms", "linear,poly",
+                       "--out-dir", str(out_dir), *flags)
+    assert (rc, err) == (0, "")
+    return [Path(path).read_text(encoding="utf-8").split("u,d,score\n", 1)[1]
+            for path in out.splitlines()]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--poly-a", "3"], ["--bound", "upper"], ["--n-max-floor", "100"],
+    ["--whole-variant", "shift-both"],
+], ids=["poly-a", "bound", "n-max-floor", "whole-variant"])
+def test_each_scoring_flag_of_sweep_changes_the_scores_it_writes(tmp_path, capsys, flags):
+    default = _sweep_rows(capsys, tmp_path / "default")
+    changed = _sweep_rows(capsys, tmp_path / "changed", *flags)
+    assert len(changed) == len(default) == 2
+    assert changed != default
 
 
 def test_sweep_failure_removes_partial_outputs(tmp_path, capsys):
@@ -1686,6 +1711,14 @@ def test_config_file_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("content", ["[1]", "7", "null"], ids=["list", "number", "null"])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, content):
+    config = tmp_path / "run.json"
+    config.write_text(content, encoding="utf-8")
+    rc, out, err = run(capsys, "score", "--up", "1", "--down", "0", "--config", str(config))
+    assert (rc, out, err) == (2, "", f"error: config file {config}: expected a flat JSON object\n")
+
+
 def test_cli_paths_build_no_answer_entry(tmp_path, capsys, monkeypatch):
     # rank, replay and simulate rank plain (up, down) columns; AnswerEntry
     # views are for library callers
@@ -1938,6 +1971,18 @@ def test_config_file_numbers_beyond_range_are_out_of_range(tmp_path, capsys, key
     assert err == f"error: {key}: out of range\n"
 
 
+@pytest.mark.parametrize("value", ["x", True, None], ids=["string", "true", "null"])
+@pytest.mark.parametrize("key", ["up_probability", "arrival_weight"])
+def test_simulate_profile_field_that_is_not_a_number_exits_2(tmp_path, capsys, key, value):
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, [PROFILES[0], {**PROFILES[1], key: value}])
+    rc, out, err = run(capsys, "simulate", str(profiles),
+                       "--trajectory-out", str(tmp_path / "t.jsonl"),
+                       "--report-out", str(tmp_path / "r.json"))
+    assert (rc, out, err) == (2, "", f"error: line 2: field {key!r} must be a number\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profiles.jsonl"]
+
+
 def test_simulate_profile_numbers_beyond_float_range_are_out_of_range(tmp_path, capsys):
     profiles = tmp_path / "profiles.jsonl"
     profiles.write_text(f'{{"answer_id": "a", "up_probability": 1, "arrival_weight": {10**400}}}\n',
@@ -2076,6 +2121,26 @@ _REPRODUCED = {
     "rank-no-tallies": (["rank"], None, "the following arguments are required: tallies"),
     "rank-unknown-flag": (["rank", "tallies.jsonl", "--bogus"], None,
                           "unrecognized arguments: --bogus"),
+    # sweep takes lists of the blend values, never one value
+    "sweep-z": (["sweep", *SMALL_GRID, "--z", "1"], None, "unrecognized arguments: --z 1"),
+    "sweep-p-weight": (["sweep", *SMALL_GRID, "--p-weight", "0.5"], None,
+                       "unrecognized arguments: --p-weight 0.5"),
+    "sweep-kind": (["sweep", *SMALL_GRID, "--kind", "net"], None,
+                   "unrecognized arguments: --kind net"),
+    "sweep-transform": (["sweep", *SMALL_GRID, "--transform", "log"], None,
+                        "unrecognized arguments: --transform log"),
+    # a prefix is no spelling of a flag, so a removed flag cannot match a list flag
+    "sweep-prefix": (["sweep", *SMALL_GRID, "--z-v", "1"], None, "unrecognized arguments: --z-v 1"),
+    "grid-prefix": (["grid", *SMALL_GRID, "--u-r", "3"], None, "unrecognized arguments: --u-r 3"),
+    "sweep-scorer-wilson": (["sweep", *SMALL_GRID, "--scorer", "wilson"], None,
+                            "sweep requires --scorer improved"),
+    "sweep-scorer-average": (["sweep", *SMALL_GRID, "--scorer", "average"], None,
+                             "sweep requires --scorer improved"),
+    "config-missing": (["score", "--up", "1", "--down", "0", "--config", "missing.json"], None,
+                       "cannot read config file: [Errno 2] No such file or directory: "
+                       "'missing.json'"),
+    "config-directory": (["score", "--up", "1", "--down", "0", "--config", "."], None,
+                         "cannot read config file: [Errno 21] Is a directory: '.'"),
     "profile-weight-1e309": (["simulate", "huge.jsonl", "--events", "10"], None,
                              "line 1: arrival_weight must be positive and finite, got inf"),
 }
@@ -2128,7 +2193,9 @@ def test_help_lists_each_flag_with_its_default_and_choices(capsys, command):
     rc, out, err = run(capsys, command, "--help")
     assert (rc, err) == (0, "")
     text = " ".join(out.split())  # argparse wraps lines at the terminal width
-    for name, flag in {**_flags_of(command), "config": None}.items():
+    flags = {**_flags_of(command), "config": None}
+    assert set(re.findall(r"--[\w-]+", text)) == {"--help", *(f"--{name}" for name in flags)}
+    for name, flag in flags.items():
         assert f"--{name} " in text
         if flag is not None and flag.default is not None:
             assert f"(default {flag.default})" in text

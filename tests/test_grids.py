@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import write_csv_reference
+from helpers import average_rating, write_csv_reference
 from spotrank.grids import (
     _BLOCK_CELLS,
     AverageRatingScorer,
@@ -31,7 +31,6 @@ from spotrank.scoring import (
     SiKind,
     VoteTally,
     WholeSiVariant,
-    average_rating,
     combined_score,
     poly,
     wilson_interval,
@@ -548,13 +547,20 @@ def test_sweep_point_error_keeps_its_type_and_field():
 @pytest.mark.parametrize("value", [10**400, 10**5000], ids=["10**400", "10**5000"])
 @pytest.mark.parametrize("field", ["z", "p_weight", "si_transform.exponent"])
 def test_sweep_point_past_float_range_is_refused_by_its_field(field, value):
+    if field == "si_transform.exponent":  # poly() refuses it before any sweep point exists
+        with pytest.raises(ConfigError) as exc_info:
+            poly(value)
+        spelled = "an integer of 16610 bits" if value == 10**5000 else f"{value}"
+        assert exc_info.value.field == field
+        assert str(exc_info.value) == f"{field}: poly transform needs a positive exponent, got {spelled}"
+        return
     with pytest.raises(ConfigError) as exc_info:
         SweepSpec(
             base=GridSpec(2, 2, Maxima(10, 10, 10), ImprovedScorer(ScoringConfig()), 1),
             z_values=(value if field == "z" else 2.0,),
             p_values=(value if field == "p_weight" else 0.5,),
             kinds=(SiKind.WHOLE,),
-            transforms=(poly(value) if field == "si_transform.exponent" else poly(2.0),),
+            transforms=(poly(2.0),),
         )
     assert exc_info.value.field == field
     assert str(exc_info.value).startswith("sweep point z")

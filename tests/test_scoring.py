@@ -21,20 +21,25 @@ from spotrank.scoring import (
     SiTransform,
     VoteTally,
     WholeSiVariant,
-    average_rating,
+    WilsonInterval,
     check_coverage,
-    combined_range,
     combined_score,
     effective_maxima,
     poly,
-    si_range,
     spotlight_index,
     wilson_interval,
 )
 from spotrank.simulate import AnswerProfile
 from spotrank.state import NegativeCountError, QuestionState
 
-from helpers import spotlight_index_reference, wilson_bisect, wilson_interval_reference
+from helpers import (
+    average_rating,
+    combined_range,
+    si_range,
+    spotlight_index_reference,
+    wilson_bisect,
+    wilson_interval_reference,
+)
 
 ALL_KINDS = list(SiKind)
 ALL_TRANSFORMS = [LINEAR, LOG10, EXP, poly(2.0)]
@@ -135,6 +140,11 @@ _REAL_PARAMETER_CHECKS = {
         lambda v: (ConfigError, ("p_weight", f"must be in [0, 1], got {_spelled(v)}"))),
     "ScoringConfig-exponent": (
         lambda v: ScoringConfig(si_transform=poly(v)), _POSITIVE,
+        lambda v: (ConfigError, ("si_transform.exponent",
+                                 f"poly transform needs a positive exponent, got {_spelled(v)}"))),
+    # poly(-1.0) once scored this tally 2.0, outside the whole index's [0, 1]
+    "poly-exponent": (
+        lambda v: spotlight_index(VoteTally(1, 0), Maxima(2, 2, 2), SiKind.WHOLE, poly(v)), _POSITIVE,
         lambda v: (ConfigError, ("si_transform.exponent",
                                  f"poly transform needs a positive exponent, got {_spelled(v)}"))),
     "AnswerProfile-up_probability": (
@@ -560,7 +570,7 @@ def test_combined_score_bits_match_oracles(bound):
         used = wilson_interval_reference(tally, config.z).pick(bound)
         si = spotlight_index_reference(tally, maxima, kind, transform, variant)
         expected = config.p_weight * used + (1.0 - config.p_weight) * si
-        assert bits(got.wilson_used) == bits(used)
+        assert bits(got.wilson.pick(bound)) == bits(used)
         assert bits(got.si) == bits(si)
         assert bits(got.combined) == bits(expected), (tally, maxima, config)
 
@@ -571,7 +581,7 @@ def test_combined_score_bits_match_oracles(bound):
 def test_full_weight_is_pure_wilson():
     config = ScoringConfig(z=2.0, p_weight=1.0)
     b = combined_score(VoteTally(12, 4), Maxima(30, 20, 10), config)
-    assert b.combined == b.wilson_used == b.wilson.lower
+    assert b.combined == b.wilson.pick(config.bound) == b.wilson.lower
 
 
 def test_zero_weight_is_pure_si():
@@ -583,7 +593,7 @@ def test_zero_weight_is_pure_si():
 def test_upper_bound_selection():
     config = ScoringConfig(z=2.0, p_weight=1.0, bound=Bound.UPPER)
     b = combined_score(VoteTally(3, 3), Maxima(10, 5, 5), config)
-    assert b.wilson_used == b.wilson.upper
+    assert b.wilson.pick(config.bound) == b.wilson.upper
     assert b.combined == b.wilson.upper
 
 
@@ -615,7 +625,7 @@ def test_combined_respects_blend_and_range(case, p_weight, z, kind, transform):
     tally, maxima = case
     config = ScoringConfig(z=z, p_weight=p_weight, si_kind=kind, si_transform=transform)
     b = combined_score(tally, maxima, config)
-    assert b.combined == p_weight * b.wilson_used + (1.0 - p_weight) * b.si
+    assert b.combined == p_weight * b.wilson.pick(config.bound) + (1.0 - p_weight) * b.si
     lo, hi = combined_range(kind, p_weight)
     assert lo - 1e-12 <= b.combined <= hi + 1e-12
 
@@ -662,10 +672,11 @@ def test_valid_config_builds_and_replace_rechecks():
         ({"p_weight": 1.5}, "p_weight"),
         ({"p_weight": -0.1}, "p_weight"),
         ({"z": -1.0}, "z"),
-        ({"si_transform": SiTransform("poly", 0.0)}, "si_transform.exponent"),
-        ({"si_transform": SiTransform("poly", -2.0)}, "si_transform.exponent"),
-        ({"si_transform": poly(-1.0)}, "si_transform.exponent"),
-        ({"si_transform": poly(math.nan)}, "si_transform.exponent"),
+        # SiTransform checks its own exponent, so these are built in the test
+        ({"si_transform": lambda: SiTransform("poly", 0.0)}, "si_transform.exponent"),
+        ({"si_transform": lambda: SiTransform("poly", -2.0)}, "si_transform.exponent"),
+        ({"si_transform": lambda: poly(-1.0)}, "si_transform.exponent"),
+        ({"si_transform": lambda: poly(math.nan)}, "si_transform.exponent"),
         ({"n_max_floor": 0}, "n_max_floor"),
         # past str's digit limit: quoted by its size
         ({"n_max_floor": -(10**5000)}, "n_max_floor"),
@@ -673,7 +684,8 @@ def test_valid_config_builds_and_replace_rechecks():
 )
 def test_invalid_configs_name_the_field(kwargs, field):
     with pytest.raises(ConfigError) as exc_info:
-        ScoringConfig(**kwargs)
+        ScoringConfig(**{key: value() if callable(value) else value
+                         for key, value in kwargs.items()})
     assert exc_info.value.field == field
     assert field in str(exc_info.value)
 
@@ -712,6 +724,14 @@ def test_negative_counts_rejected():
 def test_maxima_must_be_floored():
     with pytest.raises(ValueError):
         Maxima(0, 1, 1)
+
+
+@pytest.mark.parametrize("lower,upper", [(0.6, 0.4), (-0.1, 0.5), (0.2, 1.5), (math.nan, 0.5)],
+                         ids=["reversed", "below-0", "above-1", "nan"])
+def test_malformed_wilson_interval_rejected(lower, upper):
+    with pytest.raises(ValueError) as exc_info:
+        WilsonInterval(lower, upper)
+    assert str(exc_info.value) == f"malformed interval ({lower}, {upper})"
 
 
 def test_unknown_transform_rejected():
