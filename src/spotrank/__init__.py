@@ -41,7 +41,6 @@ from .state import (
 from .grids import (
     AverageRatingScorer,
     GridSpec,
-    ImprovedScorer,
     ScoreGrid,
     SweepSpec,
     WilsonScorer,

@@ -8,10 +8,10 @@ significant digits.
 
 Each flag is declared once, in a table that maps it to its converter, its
 default and its help.  A flat JSON config file (``--config``) may pre-set any
-flag but ``--up``/``--down``; keys equal the flag names without the leading
-dashes, and explicit flags win.  A flag's value and a config value go through
-the same converter, so they pass the same checks and fail with the same
-message.
+flag of its subcommand but ``--up``/``--down``; keys equal the flag names
+without the leading dashes, and explicit flags win.  A flag's value and a
+config value go through the same converter, so they pass the same checks and
+fail with the same message.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoRet
 from .grids import (
     AverageRatingScorer,
     GridSpec,
-    ImprovedScorer,
     SweepSpec,
     WilsonScorer,
     _open_output,
@@ -82,7 +81,7 @@ _BOUNDS = {bound.value: bound for bound in Bound}
 _VARIANTS = {variant.value: variant for variant in WholeSiVariant}
 _TRANSFORM_BY_NAME = {name: name for name in _TRANSFORM_NAMES}
 _SCORERS: dict[str, Callable[[ScoringConfig], Any]] = {
-    "improved": ImprovedScorer,
+    "improved": lambda config: config,
     "wilson": lambda config: WilsonScorer(config.z, config.bound),
     "average": lambda config: AverageRatingScorer(),
 }
@@ -245,7 +244,7 @@ _SIMULATE_FLAGS = {
 }
 
 
-def _load_config_file(path: str) -> dict[str, Any]:
+def _load_config_file(path: str, flags: Mapping[str, _Flag]) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -257,10 +256,8 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise CliError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise CliError(f"config file {path}: expected a flat JSON object")
-    # one set for every subcommand, so one file can serve several
-    known = {name for _, _, groups, _ in _COMMANDS.values()
-             for group in groups for name, flag in group.items() if not flag.required}
-    unknown = sorted(set(data) - known)
+    # a key the subcommand would not use is as wrong as a flag it lacks
+    unknown = sorted(name for name in data if name not in flags or flags[name].required)
     if unknown:
         raise CliError(f"config file {path}: unknown keys {', '.join(unknown)}")
     return data
@@ -269,7 +266,8 @@ def _load_config_file(path: str) -> dict[str, Any]:
 def _flag_values(args: argparse.Namespace) -> dict[str, Any]:
     """Each flag of the subcommand, converted: as given, else from the config
     file, else its default, where None means the command works it out."""
-    file_values = _load_config_file(_to_path("config", args.config)) if args.config else {}
+    file_values = (_load_config_file(_to_path("config", args.config), args.flags)
+                   if args.config else {})
     values: dict[str, Any] = {}
     for name, flag in args.flags.items():
         value = getattr(args, name.replace("-", "_"))
@@ -302,12 +300,11 @@ def resolve_scoring_config(opts: dict[str, Any]) -> ScoringConfig:
 def _open_input(path: str) -> TextIO:
     """The JSONL input as strict UTF-8 text; ``-`` is stdin."""
     if path == "-":
+        if sys.stdin is None:  # started with fd 0 closed
+            raise CliError("cannot read stdin: fd 0 is closed")
         # stdin's own errors handler is surrogateescape in UTF-8 mode; lines
         # still end at "\n" only, as on sys.stdin
-        buffer = getattr(sys.stdin, "buffer", None)
-        if buffer is None:  # a text stream put in place of stdin
-            return sys.stdin
-        return io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
     try:
         return open(path, "r", encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
@@ -332,7 +329,7 @@ def _reading(path: str) -> Iterator[TextIO]:
     finally:
         if path != "-":
             fh.close()
-        elif fh is not sys.stdin:
+        else:
             fh.detach()  # leaves stdin open
 
 
@@ -663,7 +660,7 @@ _SWEEP_FIELD_FLAGS = {"z": "z-values", "p_weight": "p-values", "si_transform.exp
 def cmd_sweep(args: argparse.Namespace) -> int:
     opts = _flag_values(args)
     base = _build_grid_spec(opts)
-    if not isinstance(base.scorer, ImprovedScorer):
+    if not isinstance(base.scorer, ScoringConfig):
         raise CliError("sweep requires --scorer improved")
     # SweepSpec checks every point, before any directory or grid is made
     try:
@@ -862,7 +859,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError:
             pass
     return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

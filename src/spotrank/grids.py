@@ -75,14 +75,7 @@ class AverageRatingScorer:
     """Plain up-vote proportion baseline (0 for unvoted cells)."""
 
 
-@dataclass(frozen=True)
-class ImprovedScorer:
-    """The blended score under a full :class:`ScoringConfig`."""
-
-    config: ScoringConfig
-
-
-Scorer = Union[WilsonScorer, AverageRatingScorer, ImprovedScorer]
+Scorer = Union[ScoringConfig, WilsonScorer, AverageRatingScorer]
 
 
 @dataclass(frozen=True)
@@ -90,9 +83,10 @@ class GridSpec:
     """Axes, fixed maxima and scorer for one grid.
 
     ``u_max_grid``/``d_max_grid`` are inclusive axis tops; cells are every
-    ``step`` votes.  ``maxima`` must cover the whole grid for the scorer's
-    kind, that is its :attr:`last_cell` (checked by :func:`grid_scores` and
-    :func:`emit_csv`).
+    ``step`` votes.  The scorer is a :class:`ScoringConfig` for the blended
+    score, or one of the two baselines.  ``maxima`` must cover the whole grid
+    for a config's kind, that is its :attr:`last_cell` (checked by
+    :func:`grid_scores` and :func:`emit_csv`).
     """
 
     u_max_grid: int
@@ -164,8 +158,9 @@ class SweepSpec:
 
     def __post_init__(self):
         base = self.base
-        if not isinstance(base.scorer, ImprovedScorer):
-            raise ValueError("sweep varies blended-score parameters; base scorer must be ImprovedScorer")
+        if not isinstance(base.scorer, ScoringConfig):
+            raise ValueError("sweep varies blended-score parameters; "
+                             "base scorer must be a ScoringConfig")
         for name in ("z_values", "p_values", "kinds", "transforms"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
@@ -174,9 +169,9 @@ class SweepSpec:
                                                     self.transforms):
             slug = _slug(z, p_weight, kind, transform)
             try:
-                config = replace(base.scorer.config, z=z, p_weight=p_weight, si_kind=kind,
+                config = replace(base.scorer, z=z, p_weight=p_weight, si_kind=kind,
                                  si_transform=transform)
-                grid = replace(base, scorer=ImprovedScorer(config))
+                grid = replace(base, scorer=config)
                 check_grid(grid)
             except (ConfigError, InconsistentMaximaError) as exc:
                 exc.args = (f"sweep point {slug}: {exc}",)  # type and field kept
@@ -203,17 +198,16 @@ def _metadata(spec: GridSpec) -> dict[str, str]:
         meta["z"] = format(scorer.z, ".12g")
         meta["bound"] = scorer.bound.value
     else:
-        config = scorer.config
         meta["scorer"] = "improved"
-        meta["z"] = format(config.z, ".12g")
-        meta["p_weight"] = format(config.p_weight, ".12g")
-        meta["kind"] = config.si_kind.value
-        meta["transform"] = config.si_transform.name
-        if config.si_transform.name == "poly":
-            meta["poly_a"] = format(config.si_transform.exponent, ".12g")
-        if config.whole_variant is not WholeSiVariant.PLAIN:
-            meta["whole_variant"] = config.whole_variant.value
-        meta["bound"] = config.bound.value
+        meta["z"] = format(scorer.z, ".12g")
+        meta["p_weight"] = format(scorer.p_weight, ".12g")
+        meta["kind"] = scorer.si_kind.value
+        meta["transform"] = scorer.si_transform.name
+        if scorer.si_transform.name == "poly":
+            meta["poly_a"] = format(scorer.si_transform.exponent, ".12g")
+        if scorer.whole_variant is not WholeSiVariant.PLAIN:
+            meta["whole_variant"] = scorer.whole_variant.value
+        meta["bound"] = scorer.bound.value
     meta["n_max"] = str(spec.maxima.n_max)
     meta["u_max"] = str(spec.maxima.u_max)
     meta["d_max"] = str(spec.maxima.d_max)
@@ -230,8 +224,8 @@ def check_grid(spec: GridSpec) -> None:
     :class:`ValueError` if an int64 cannot count them.  Its config, if any,
     was checked when it was built.
     """
-    if isinstance(spec.scorer, ImprovedScorer):
-        check_coverage(spec.scorer.config.si_kind, spec.maxima, *spec.last_cell)
+    if isinstance(spec.scorer, ScoringConfig):
+        check_coverage(spec.scorer.si_kind, spec.maxima, *spec.last_cell)
     rows, cols = spec.shape
     if cols > _MAX_ROW_CELLS:
         raise MemoryError(f"a grid row of {_quote(cols)} cells does not fit in memory")
@@ -257,10 +251,10 @@ def _row_blocks(spec: GridSpec) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, 
     per_block = max(1, _BLOCK_CELLS // cols)
 
     config = None
-    if isinstance(scorer, ImprovedScorer):
+    if isinstance(scorer, ScoringConfig):
         # every count is a multiple of step, so the scalar kernel runs once
         # per distinct multiple and the cells gather from that table
-        config = scorer.config
+        config = scorer
         z, bound = config.z, config.bound
         transform = config.si_transform
 
@@ -306,21 +300,16 @@ def grid_scores(spec: GridSpec) -> ScoreGrid:
                      _metadata(spec))
 
 
-def emit_csv(grid: Union[ScoreGrid, GridSpec], destination: Union[str, Path, TextIO]) -> None:
+def emit_csv(grid: GridSpec, destination: Union[str, Path, TextIO]) -> None:
     """Write the grid as long-format CSV: ``#`` metadata, ``u,d,score`` header.
 
     Rows are u-major then d; scores carry 12 significant digits, which
-    round-trips doubles at these magnitudes.  LF endings, UTF-8.  A
-    :class:`GridSpec` is evaluated block by block, each block written as it
-    is computed; its checks and first block come before the first byte.
-    A :class:`ScoreGrid` is written as one block.
+    round-trips doubles at these magnitudes.  LF endings, UTF-8.  The grid
+    is evaluated block by block, each block written as it is computed; its
+    checks and first block come before the first byte.
     """
-    if isinstance(grid, GridSpec):
-        metadata = _metadata(grid)
-        d_values, blocks = _row_blocks(grid)
-    else:
-        metadata, d_values = grid.metadata, grid.d_values
-        blocks = iter([(grid.u_values, grid.scores)])
+    metadata = _metadata(grid)
+    d_values, blocks = _row_blocks(grid)
     blocks = chain([next(blocks)], blocks)  # computed before the file is opened
     if isinstance(destination, (str, Path)):
         with _open_output(destination) as fh:

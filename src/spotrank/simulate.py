@@ -230,7 +230,7 @@ def _snapshot_stream(spec: StreamSpec, scorers: Mapping[str, ScoringConfig], cad
                      state: QuestionState) -> Iterator[TrajectorySnapshot]:
     """Each snapshot of :func:`simulate`, yielded as soon as it is ranked, so
     a caller that drops it holds one snapshot at a time.  The stream is
-    applied to ``state``, whose ``event_count`` is set once the stream ends."""
+    applied to ``state``, one delta per answer for each window of events."""
     ids = [p.answer_id for p in spec.profiles]
     applied = 0
     for picks, is_up in _stream_blocks(spec, cadence):
@@ -239,8 +239,6 @@ def _snapshot_stream(spec: StreamSpec, scorers: Mapping[str, ScoringConfig], cad
         if applied % cadence == 0 or applied == spec.total_events:
             yield TrajectorySnapshot(
                 applied, {label: state.rank(config) for label, config in scorers.items()})
-    # each delta stood for a block's single-vote events
-    state.event_count = spec.total_events
 
 
 def kendall_tau(ranking_a: Sequence[str], ranking_b: Sequence[str]) -> float:

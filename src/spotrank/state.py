@@ -3,9 +3,10 @@
 One ``QuestionState`` is a single-writer unit: callers must serialize
 ``apply_event``/``apply_delta`` per question (different questions are
 independent).  Reads go through :meth:`QuestionState.snapshot`, which is
-immutable.  The state holds tallies only, so applying a delta is O(1); the
-maxima are read from the tallies in O(answers) when a reader asks for them,
-as ranking and snapshots do.
+immutable.  The state holds tallies only, with no event count and no
+maxima, so applying a delta is O(1) and writes one tally; the maxima are
+read from the tallies in O(answers) when a reader asks for them, as ranking
+and snapshots do.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class QuestionSnapshot:
     raw_n_max: int
     raw_u_max: int
     raw_d_max: int
-    event_count: int
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,6 @@ class QuestionState:
     def __init__(self, question_id: str):
         self.question_id = question_id
         self._counts: dict[str, tuple[int, int]] = {}
-        self.event_count = 0
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -184,7 +183,6 @@ class QuestionState:
             raise NegativeCountError(
                 f"event would drive answer {answer_id!r} to ({_quote(up)}, {_quote(down)})")
         self._counts[answer_id] = (up, down)
-        self.event_count += 1
 
     def recompute_maxima(self) -> tuple[int, int, int]:
         """Raw ``(n_max, u_max, d_max)`` over the current tallies, in one scan;
@@ -198,6 +196,4 @@ class QuestionState:
         return RankedList(tuple((ids[i], scored[counts[i]]) for i in order), maxima)
 
     def snapshot(self) -> QuestionSnapshot:
-        return QuestionSnapshot(
-            self.question_id, self.entries(), *self.recompute_maxima(), self.event_count
-        )
+        return QuestionSnapshot(self.question_id, self.entries(), *self.recompute_maxima())

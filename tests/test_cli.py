@@ -166,8 +166,8 @@ def test_rank_empty_input_is_empty_success(tmp_path, capsys):
 
 
 def test_rank_reads_stdin(tmp_path, capsys, monkeypatch):
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"answer_id": "a", "up": 3, "down": 1}\n'))
+    stdin = io.TextIOWrapper(io.BytesIO(b'{"answer_id": "a", "up": 3, "down": 1}\n'))
+    monkeypatch.setattr("sys.stdin", stdin)
     rc, out, _ = run(capsys, "rank", "-")
     assert rc == 0
     rows = parse_jsonl(out)
@@ -674,6 +674,9 @@ class _FailingInput:
         raise OSError(5, "Input/output error")
 
     def close(self):
+        pass
+
+    def detach(self):
         pass
 
 
@@ -1877,6 +1880,20 @@ def test_unwritable_fd_2_keeps_the_exit_code_and_stdout(fd_2, up, rc):
                                            "si 1.000000\ncombined 0.600000\n")
 
 
+@pytest.mark.parametrize("command", ["rank", "replay", "simulate"])
+def test_stdin_closed_at_start_exits_2_with_one_error_line(tmp_path, command):
+    outputs = ["--trajectory-out", str(tmp_path / "t.jsonl"), "--report-out", str(tmp_path / "r.json")]
+    # the child starts with no fd 0, as `<&-` leaves it
+    result = subprocess.run(
+        [sys.executable, "-m", "spotrank", command, "-", *(outputs if command == "simulate" else [])],
+        preexec_fn=lambda: os.close(0), capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: cannot read stdin: fd 0 is closed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["--help"], ["grid", "--help"]], ids=["help", "grid-help"])
@@ -2089,6 +2106,20 @@ def test_config_file_cannot_set_up_down_or_config(tmp_path, capsys, key):
     rc, out, err = run(capsys, "score", "--up", "1", "--down", "0", "--config", str(config))
     assert (rc, out) == (2, "")
     assert err == f"error: config file {config}: unknown keys {key}\n"
+
+
+# every key a config file may set, for each subcommand that lacks its flag,
+# such as kinds for rank and z for sweep
+_STRAY_KEYS = [(command, key) for command in cli._COMMANDS for key in CONFIG_KEYS
+               if key not in _flags_of(command)]
+
+
+@pytest.mark.parametrize("command,key", _STRAY_KEYS, ids=[f"{c}-{k}" for c, k in _STRAY_KEYS])
+def test_config_keys_are_the_flags_of_the_subcommand(tmp_path, capsys, command, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: 1}), encoding="utf-8")
+    rc, out, err = run(capsys, *_argv_without(tmp_path, command, key), "--config", str(config))
+    assert (rc, out, err) == (2, "", f"error: config file {config}: unknown keys {key}\n")
 
 
 SMALL_GRID = ["--u-range", "2", "--d-range", "2", "--n-max", "10"]

@@ -11,12 +11,12 @@ from spotrank.grids import (
     _BLOCK_CELLS,
     AverageRatingScorer,
     GridSpec,
-    ImprovedScorer,
     InconsistentMaximaError,
     ScoreGrid,
     SweepSpec,
     WilsonScorer,
     _slug,
+    _write_csv,
     emit_csv,
     grid_scores,
 )
@@ -39,7 +39,7 @@ from spotrank.scoring import (
 
 def improved_spec(u_range=100, d_range=100, n_max=2000, step=1, **config_kwargs):
     config = ScoringConfig(**config_kwargs)
-    return GridSpec(u_range, d_range, Maxima(n_max, n_max, n_max), ImprovedScorer(config), step)
+    return GridSpec(u_range, d_range, Maxima(n_max, n_max, n_max), config, step)
 
 
 # --- degeneracies -------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_linear_si_plane_scale_invariance():
 def test_vectorized_matches_scalar_core():
     config = ScoringConfig(z=1.96, p_weight=0.37, si_kind=SiKind.NET, si_transform=LOG10)
     maxima = Maxima(300, 200, 200)
-    grid = grid_scores(GridSpec(60, 60, maxima, ImprovedScorer(config), 3))
+    grid = grid_scores(GridSpec(60, 60, maxima, config, 3))
     for i, u in enumerate(grid.u_values):
         for j, d in enumerate(grid.d_values):
             expected = combined_score(VoteTally(int(u), int(d)), maxima, config).combined
@@ -140,7 +140,7 @@ def test_vectorized_matches_scalar_core():
 def test_vote_specific_kinds_match_scalar(kind, transform):
     config = ScoringConfig(z=2.0, p_weight=0.5, si_kind=kind, si_transform=transform)
     maxima = Maxima(100, 40, 35)
-    grid = grid_scores(GridSpec(40, 35, maxima, ImprovedScorer(config), 5))
+    grid = grid_scores(GridSpec(40, 35, maxima, config, 5))
     for i, u in enumerate(grid.u_values):
         for j, d in enumerate(grid.d_values):
             expected = combined_score(VoteTally(int(u), int(d)), maxima, config).combined
@@ -191,7 +191,7 @@ def test_improved_grid_cells_are_combined_score_bits(kind, transform, variant):
             for bound in Bound:
                 config = ScoringConfig(z=z, p_weight=0.37, si_kind=kind, si_transform=transform,
                                        bound=bound, whole_variant=variant)
-                grid = grid_scores(GridSpec(u_range, d_range, maxima, ImprovedScorer(config), step))
+                grid = grid_scores(GridSpec(u_range, d_range, maxima, config, step))
                 assert_cells_are_bits_of(
                     grid, lambda tally: combined_score(tally, maxima, config).combined
                 )
@@ -218,21 +218,21 @@ def test_n_max_must_cover_total_votes():
 
 def test_upvote_kind_checks_u_max():
     maxima = Maxima(2000, 50, 2000)
-    spec = GridSpec(100, 100, maxima, ImprovedScorer(ScoringConfig(si_kind=SiKind.UPVOTE)), 1)
+    spec = GridSpec(100, 100, maxima, ScoringConfig(si_kind=SiKind.UPVOTE), 1)
     with pytest.raises(InconsistentMaximaError):
         grid_scores(spec)
 
 
 def test_downvote_kind_checks_d_max():
     maxima = Maxima(2000, 2000, 50)
-    spec = GridSpec(100, 100, maxima, ImprovedScorer(ScoringConfig(si_kind=SiKind.DOWNVOTE)), 1)
+    spec = GridSpec(100, 100, maxima, ScoringConfig(si_kind=SiKind.DOWNVOTE), 1)
     with pytest.raises(InconsistentMaximaError):
         grid_scores(spec)
 
 
 def test_coverage_is_checked_at_the_last_cell_not_the_axis_tops():
     # step 7 on ranges 10 and 9: the last cell is (7, 7), so n_max 14 covers it
-    spec = GridSpec(10, 9, Maxima(14, 14, 14), ImprovedScorer(ScoringConfig()), 7)
+    spec = GridSpec(10, 9, Maxima(14, 14, 14), ScoringConfig(), 7)
     assert spec.last_cell == (7, 7)
     assert grid_scores(spec).u_values.tolist() == [0, 7]
     SweepSpec(base=spec, z_values=(2.0,), p_values=(0.5,), kinds=tuple(SiKind),
@@ -273,9 +273,8 @@ def test_invalid_geometry_rejected():
 
 
 def test_csv_shape_header_and_metadata():
-    grid = grid_scores(improved_spec(2, 2, n_max=10, z=2.0, p_weight=0.5))
     buffer = io.StringIO()
-    emit_csv(grid, buffer)
+    emit_csv(improved_spec(2, 2, n_max=10, z=2.0, p_weight=0.5), buffer)
     text = buffer.getvalue()
     lines = text.splitlines()
     comments = [line for line in lines if line.startswith("#")]
@@ -298,10 +297,11 @@ def test_csv_shape_header_and_metadata():
 
 
 def test_csv_round_trip(tmp_path):
-    grid = grid_scores(improved_spec(12, 9, n_max=50, z=5.0, p_weight=0.25,
-                                     si_kind=SiKind.NET, si_transform=LOG10, step=3))
+    spec = improved_spec(12, 9, n_max=50, z=5.0, p_weight=0.25,
+                         si_kind=SiKind.NET, si_transform=LOG10, step=3)
+    grid = grid_scores(spec)
     path = tmp_path / "grid.csv"
-    emit_csv(grid, path)
+    emit_csv(spec, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     metadata = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
     data = [line for line in lines if not line.startswith("#")]
@@ -316,17 +316,15 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_single_cell_grid():
-    grid = grid_scores(improved_spec(0, 0, n_max=10))
     buffer = io.StringIO()
-    emit_csv(grid, buffer)
+    emit_csv(improved_spec(0, 0, n_max=10), buffer)
     data = [line for line in buffer.getvalue().splitlines() if not line.startswith("#")]
     assert data == ["u,d,score", "0,0,0"]
 
 
 def test_csv_negative_scores_render():
-    grid = grid_scores(improved_spec(0, 5, n_max=10, p_weight=0.0, si_kind=SiKind.NET))
     buffer = io.StringIO()
-    emit_csv(grid, buffer)
+    emit_csv(improved_spec(0, 5, n_max=10, p_weight=0.0, si_kind=SiKind.NET), buffer)
     assert "0,5,-0.5" in buffer.getvalue().splitlines()
 
 
@@ -344,10 +342,9 @@ def test_csv_negative_scores_render():
 ], ids=["1x1", "1xN", "Nx1", "step37", "net-negative", "exp-underflow-negative",
         "exp-underflow-net", "wilson", "average"])
 def test_csv_bytes_match_per_cell_reference(spec):
-    grid = grid_scores(spec)
     expected, actual = io.StringIO(), io.StringIO()
-    write_csv_reference(grid, expected)
-    emit_csv(grid, actual)
+    write_csv_reference(grid_scores(spec), expected)
+    emit_csv(spec, actual)
     assert actual.getvalue() == expected.getvalue()
 
 
@@ -362,7 +359,7 @@ def test_csv_bytes_match_reference_on_special_values():
     )
     expected, actual = io.StringIO(), io.StringIO()
     write_csv_reference(grid, expected)
-    emit_csv(grid, actual)
+    _write_csv(grid.metadata, grid.d_values, iter([(grid.u_values, grid.scores)]), actual)
     assert actual.getvalue() == expected.getvalue()
     assert "0,0,-0\n" in actual.getvalue() and "0,10,nan\n" in actual.getvalue()
 
@@ -371,11 +368,11 @@ _TRANSFORMS = st.sampled_from([LINEAR, LOG10, EXP]) | st.sampled_from([0.5, 2.5]
 _SCORERS = st.one_of(
     st.builds(WilsonScorer, st.sampled_from([0.0, 1.96, 5.0]), st.sampled_from(list(Bound))),
     st.just(AverageRatingScorer()),
-    st.builds(ImprovedScorer, st.builds(
+    st.builds(
         ScoringConfig, z=st.sampled_from([0.0, 1.96]), p_weight=st.sampled_from([0.0, 0.37, 1.0]),
         si_kind=st.sampled_from(list(SiKind)), si_transform=_TRANSFORMS,
         bound=st.sampled_from(list(Bound)), whole_variant=st.sampled_from(list(WholeSiVariant)),
-    )),
+    ),
 )
 
 
@@ -405,7 +402,7 @@ def test_streamed_csv_bytes_equal_the_whole_grid_csv(data, scorer, step):
     assert spec.shape == (rows, cols)
     streamed, whole = io.StringIO(), io.StringIO()
     emit_csv(spec, streamed)
-    emit_csv(grid_scores(spec), whole)
+    write_csv_reference(grid_scores(spec), whole)
     assert streamed.getvalue() == whole.getvalue()
 
 
@@ -434,7 +431,7 @@ def test_canonical_sweep_yields_twenty_grids_in_order():
         kinds=(SiKind.WHOLE,),
         transforms=(LINEAR,),
     )
-    results = [(grid_spec.scorer.config, grid_scores(grid_spec)) for _, grid_spec in spec.grids]
+    results = [(grid_spec.scorer, grid_scores(grid_spec)) for _, grid_spec in spec.grids]
     assert len(results) == 20
     assert [config.z for config, _ in results[:5]] == [0.0] * 5
     assert [config.p_weight for config, _ in results[:5]] == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -486,7 +483,7 @@ def test_sweep_error_names_the_offending_tuple():
     with pytest.raises(InconsistentMaximaError) as exc_info:
         SweepSpec(
             base=GridSpec(30, 30, Maxima(100, 10, 100),
-                          ImprovedScorer(ScoringConfig()), 1),
+                          ScoringConfig(), 1),
             z_values=(2.0,),
             p_values=(0.5,),
             kinds=(SiKind.WHOLE, SiKind.UPVOTE),
@@ -501,7 +498,7 @@ def test_sweep_spec_refuses_a_grid_row_beyond_the_address_space():
     with pytest.raises(MemoryError, match=f"^a grid row of {2**62 + 1} cells"):
         SweepSpec(
             base=GridSpec(2, 2**62, Maxima(2**63 - 1, 2**63 - 1, 2**63 - 1),
-                          ImprovedScorer(ScoringConfig()), 1),
+                          ScoringConfig(), 1),
             z_values=(2.0,),
             p_values=(0.5,),
             kinds=(SiKind.WHOLE,),
@@ -534,7 +531,7 @@ def test_sweep_rejects_empty_lists():
 def test_sweep_point_error_keeps_its_type_and_field():
     with pytest.raises(ConfigError) as exc_info:
         SweepSpec(
-            base=GridSpec(2, 2, Maxima(10, 10, 10), ImprovedScorer(ScoringConfig()), 1),
+            base=GridSpec(2, 2, Maxima(10, 10, 10), ScoringConfig(), 1),
             z_values=(2.0,),
             p_values=(0.5, 2.0),
             kinds=(SiKind.WHOLE,),
@@ -556,7 +553,7 @@ def test_sweep_point_past_float_range_is_refused_by_its_field(field, value):
         return
     with pytest.raises(ConfigError) as exc_info:
         SweepSpec(
-            base=GridSpec(2, 2, Maxima(10, 10, 10), ImprovedScorer(ScoringConfig()), 1),
+            base=GridSpec(2, 2, Maxima(10, 10, 10), ScoringConfig(), 1),
             z_values=(value if field == "z" else 2.0,),
             p_values=(value if field == "p_weight" else 0.5,),
             kinds=(SiKind.WHOLE,),

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from spotrank.grids import AverageRatingScorer, GridSpec, ImprovedScorer, WilsonScorer, check_grid
+from spotrank.grids import AverageRatingScorer, GridSpec, WilsonScorer, check_grid
 from spotrank.scoring import (
     Bound,
     ConfigError,
@@ -693,7 +693,7 @@ def test_invalid_configs_name_the_field(kwargs, field):
 @pytest.mark.parametrize("call,error,message", [
     (lambda: VoteTally(-(10**5000), 0), ValueError,
      f"vote counts must be non-negative, got ({_spelled(-(10**5000))}, 0)"),
-    (lambda: check_grid(GridSpec(10**5000, 0, Maxima(1, 1, 1), ImprovedScorer(ScoringConfig()))),
+    (lambda: check_grid(GridSpec(10**5000, 0, Maxima(1, 1, 1), ScoringConfig())),
      InconsistentMaximaError,
      f"n_max=1 cannot cover u+d up to {_spelled(10**5000)} for kind whole"),
     (lambda: check_grid(GridSpec(0, 10**5000, Maxima(1, 1, 1), AverageRatingScorer())),

@@ -69,9 +69,9 @@ def test_retraction_of_tied_max_keeps_value():
 
 def test_state_holds_tallies_only():
     state = QuestionState("q")
-    assert set(vars(state)) == {"question_id", "_counts", "event_count"}
+    assert set(vars(state)) == {"question_id", "_counts"}
     state.apply_event(event("a", up=3, down=1))
-    assert set(vars(state)) == {"question_id", "_counts", "event_count"}
+    assert set(vars(state)) == {"question_id", "_counts"}
 
 
 def test_unknown_answer_is_created():
@@ -97,23 +97,16 @@ def test_negative_result_rejected_and_state_unchanged():
 
 def test_rejected_event_on_unknown_answer_creates_nothing():
     state = QuestionState("q")
+    before = state.entries()
     with pytest.raises(NegativeCountError):
         state.apply_event(event("ghost", up=-1))
     assert len(state) == 0
-    assert state.event_count == 0
+    assert state.entries() == before
 
 
 def test_zero_delta_event_is_unrepresentable():
     with pytest.raises(ValueError):
         VoteEvent("q", "a", 0, 0, 0)
-
-
-def test_event_count_tracks_accepted_events():
-    state = build_state(("a", 2, 1))
-    assert state.event_count == 2  # one up batch, one down batch
-    with pytest.raises(NegativeCountError):
-        state.apply_event(event("a", down=-5))
-    assert state.event_count == 2
 
 
 # --- recompute & cache coherence ----------------------------------------------
