@@ -44,7 +44,6 @@ from .scoring import (
     _TRANSFORM_NAMES,
     ConfigError,
     InconsistentMaximaError,
-    ScoreBreakdown,
     ScoringConfig,
     SiKind,
     SiTransform,
@@ -55,7 +54,6 @@ from .scoring import (
     effective_maxima,
 )
 from .simulate import (
-    SIM_QUESTION_ID,
     AnswerProfile,
     StreamSpec,
     _snapshot_stream,
@@ -105,8 +103,23 @@ def _round12(x: float) -> float:
 
 
 def _json12(x: float) -> str:
-    """``json.dumps(_round12(x))``, without building a JSON encoder."""
-    text = repr(_round12(x))
+    """``json.dumps(_round12(x))``, without building a JSON encoder.
+
+    Where ``1e-300 < abs(x)`` or ``x == 0.0``, and ``%.12g`` writes no
+    ``e+``, its text is what ``repr`` writes for the float it reads back as,
+    but for the ``.0`` that ``repr`` adds to a bare integer: above the
+    subnormal range two texts of 12 or fewer significant digits name
+    different floats, so ``repr`` finds the same digits, and both write an
+    exponent exactly from ``e-05`` on.  The JSON names of the infinities
+    are mapped.  Any other value (NaN, the subnormal range, an exponent
+    from ``e+12``) is read back and written by ``repr``.
+    """
+    text = "%.12g" % x
+    if (1e-300 < abs(x) or x == 0.0) and "e+" not in text:
+        if "." in text or "e" in text:
+            return text
+        return _JSON_NONFINITE.get(text, text + ".0")
+    text = repr(float(text))
     return _JSON_NONFINITE.get(text, text)
 
 
@@ -711,13 +724,12 @@ def _read_profiles(path: str) -> tuple[AnswerProfile, ...]:
     return tuple(profiles)
 
 
-def _trajectory_line(event_index: int, label: str,
-                     entries: Iterable[tuple[str, ScoreBreakdown]]) -> str:
-    """One snapshot's ranking by one scorer, byte for byte what
-    ``json.dumps(..., sort_keys=True)`` gives for its dict, formatted
-    without building the dict."""
-    ranking = ", ".join(f'{{"answer_id": {_json_str(answer_id)}, "combined": '
-                        f'{_json12(breakdown.combined)}}}' for answer_id, breakdown in entries)
+def _trajectory_line(event_index: int, label: str, entries: Iterable[tuple[str, float]]) -> str:
+    """One snapshot's ranking by one scorer, as ``(JSON-escaped answer id,
+    combined score)`` pairs, byte for byte what ``json.dumps(...,
+    sort_keys=True)`` gives for its dict, formatted without building the dict."""
+    ranking = ", ".join([f'{{"answer_id": {answer_json}, "combined": {_json12(combined)}}}'
+                         for answer_json, combined in entries])
     return (f'{{"event_index": {event_index}, "ranking": [{ranking}], '
             f'"scorer": {_json_str(label)}}}\n')
 
@@ -735,14 +747,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("cadence: must be positive")
     scorers = {"wilson": replace(config, p_weight=1.0), "improved": config}
     fold = _StabilityFold(scorers)
+    ids_json = [_json_str(profile.answer_id) for profile in profiles]
     # the outputs are checked before the run; each snapshot is written and
-    # folded into the report as it is ranked, then dropped
+    # folded into the report, by answer position, as it is ranked, then dropped
     with _outputs([opts["trajectory-out"], opts["report-out"]]) as (trajectory_path, report_path):
         with _open_output(trajectory_path) as fh:
-            for snap in _snapshot_stream(spec, scorers, cadence, QuestionState(SIM_QUESTION_ID)):
-                for label, ranked in snap.rankings.items():
-                    fh.write(_trajectory_line(snap.event_index, label, ranked.entries))
-                fold.add(snap)
+            for snap in _snapshot_stream(spec, scorers, cadence):
+                names = [ids_json[k] for k in snap.answers]
+                for label, ranking in snap.rankings.items():
+                    combined = ranking.combined
+                    fh.write(_trajectory_line(snap.event_index, label,
+                                              [(names[j], combined[j]) for j in ranking.order]))
+                fold.add_grown({label: ranking.order for label, ranking in snap.rankings.items()})
         report_obj: dict[str, Any] = {"scorers": {}, "agreement": []}
         if fold.snapshots >= 2:
             report = fold.report()

@@ -84,7 +84,8 @@ class GridSpec:
 
     ``u_max_grid``/``d_max_grid`` are inclusive axis tops; cells are every
     ``step`` votes.  The scorer is a :class:`ScoringConfig` for the blended
-    score, or one of the two baselines.  ``maxima`` must cover the whole grid
+    score, or one of the two baselines; any other scorer raises
+    ``TypeError`` naming its type.  ``maxima`` must cover the whole grid
     for a config's kind, that is its :attr:`last_cell` (checked by
     :func:`grid_scores` and :func:`emit_csv`).
     """
@@ -100,6 +101,9 @@ class GridSpec:
             raise ValueError("axis bounds must be non-negative")
         if self.step < 1:
             raise ValueError("step must be >= 1")
+        if not isinstance(self.scorer, Scorer):
+            raise TypeError("scorer must be a ScoringConfig, WilsonScorer or AverageRatingScorer, "
+                            f"got {type(self.scorer).__name__}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -180,12 +184,20 @@ class SweepSpec:
         object.__setattr__(self, "grids", tuple(grids))
 
 
-def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> np.ndarray:
+def _wilson_bounds(U: np.ndarray, D: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both Wilson bounds of float64 up/down columns, ``_UNVOTED``'s where
+    there are no votes: ``wilson_interval``'s bits for counts below 2**53."""
     import numpy as np
 
     N = U + D
     lower, upper = _wilson_roots(U, np.maximum(N, 1.0), z, np.sqrt, np.maximum, np.minimum)
-    return np.where(N > 0, lower if bound is Bound.LOWER else upper, _UNVOTED.pick(bound))
+    voted = N > 0
+    return np.where(voted, lower, _UNVOTED.lower), np.where(voted, upper, _UNVOTED.upper)
+
+
+def _wilson_bound_grid(U: np.ndarray, D: np.ndarray, z: float, bound: Bound) -> np.ndarray:
+    lower, upper = _wilson_bounds(U, D, z)
+    return lower if bound is Bound.LOWER else upper
 
 
 def _metadata(spec: GridSpec) -> dict[str, str]:

@@ -13,27 +13,50 @@ gives the same events as the scalar :class:`SplitMix64` with a
 which ``uint64`` arrays do exactly; the top 53 bits times ``2**-53`` is an
 exact float; and ``searchsorted(..., side="right")`` on the running weight
 sums is the same search as ``bisect_right``.  Between two snapshots the
-votes only add up, so :func:`simulate` applies each answer's window total as
-one delta, in the order the answers first appear.  numpy is imported by the
-functions that draw and apply the columns, so importing this module does not
-load it.
+votes only add up, so the tallies are two int64 columns indexed by profile,
+and each window adds one ``bincount`` to each.
+
+Each snapshot is ranked from those columns (:func:`_rank_columns`): the
+Wilson bounds and the blend run on numpy columns, the spotlight index is
+the scalar function taken once per distinct count, and the order is the
+rule of ``state._rank_counts``, which it equals: same order, same maxima,
+same bits in every score for vote totals below 2**53 (past that, the
+tallies go to ``_rank_counts``).  numpy is imported by the functions that
+draw and rank the columns, so importing this module does not load it.
 
 Stability is quantified with Kendall tau-a over adjacent ranking snapshots
 (rankings are strict total orders after tie-breaking, so no tie handling is
 needed) plus cross-scorer agreement on the final ranking.  Both need only the
 previous snapshot, so the snapshots come as one stream: :func:`simulate`
 keeps all of them, and a caller that folds each one into the report as it
-comes (the CLI) holds one at a time.
+comes (the CLI) holds one at a time.  Answers never leave a stream, so an
+adjacent pair's common set is the earlier snapshot's answers, and its
+discordant pairs are the inversions of the later ranking's positions read
+in the earlier order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .scoring import _FLOAT_MAX, ScoringConfig, _quote
-from .state import QuestionState, RankedList, VoteEvent
+from .grids import _wilson_bounds
+from .scoring import (
+    _FLOAT_MAX,
+    Bound,
+    Maxima,
+    ScoreBreakdown,
+    ScoringConfig,
+    WilsonInterval,
+    _blend,
+    _quote,
+    _si_of_count,
+    _si_parts,
+    effective_maxima,
+)
+from .state import QuestionState, RankedList, VoteEvent, _rank_counts, _rank_order
 
 SIM_QUESTION_ID = "sim"
 
@@ -43,6 +66,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 # events per draw: two uniforms each, so memory stays at a few blocks of
 # 2 * _DRAW_BLOCK words whatever the stream length
 _DRAW_BLOCK = 1 << 15
+# up to this many elements, inversions are counted by insertion into a sorted
+# list, whose memmove stays cheap; above it, by merge sort.  On a 2-vCPU
+# x86-64 host the insertion is 3x faster at 200 elements and still faster
+# at 4096 on reversed input, its worst case (merge sort wins from ~6000)
+_BISECT_MAX = 4096
 
 
 class SplitMix64:
@@ -191,19 +219,6 @@ def generate_events(spec: StreamSpec) -> list[VoteEvent]:
     return events
 
 
-def _apply_window(state: QuestionState, ids: list[str], picks: np.ndarray,
-                  is_up: np.ndarray) -> None:
-    """Apply a run of single-vote events as one delta per answer, in the
-    order the answers first appear, so new answers are created in stream
-    order."""
-    import numpy as np
-
-    up = np.bincount(picks[is_up], minlength=len(ids)).tolist()
-    down = np.bincount(picks[~is_up], minlength=len(ids)).tolist()
-    for k in dict.fromkeys(picks.tolist()):
-        state.apply_delta(ids[k], up[k], down[k])
-
-
 def simulate(
     spec: StreamSpec,
     scorers: Mapping[str, ScoringConfig],
@@ -221,24 +236,124 @@ def simulate(
     if cadence < 1:
         raise ValueError("cadence must be positive")
 
-    state = QuestionState(SIM_QUESTION_ID)
-    snapshots = tuple(_snapshot_stream(spec, scorers, cadence, state))
-    return Trajectory(snapshots, state, tuple(scorers))
-
-
-def _snapshot_stream(spec: StreamSpec, scorers: Mapping[str, ScoringConfig], cadence: int,
-                     state: QuestionState) -> Iterator[TrajectorySnapshot]:
-    """Each snapshot of :func:`simulate`, yielded as soon as it is ranked, so
-    a caller that drops it holds one snapshot at a time.  The stream is
-    applied to ``state``, one delta per answer for each window of events."""
     ids = [p.answer_id for p in spec.profiles]
+    snapshots = []
+    for snap in _snapshot_stream(spec, scorers, cadence):
+        names = [ids[k] for k in snap.answers]
+        snapshots.append(TrajectorySnapshot(snap.event_index, {
+            label: _ranked_list(ranking, names) for label, ranking in snap.rankings.items()}))
+    # the last snapshot is taken after the last event
+    state = QuestionState(SIM_QUESTION_ID)
+    for answer_id, up, down in zip(names, snap.up.tolist(), snap.down.tolist()):
+        state.apply_delta(answer_id, up, down)
+    return Trajectory(tuple(snapshots), state, tuple(scorers))
+
+
+class _Ranking(NamedTuple):
+    """One scorer's ranking of a snapshot's answers, as columns: ``order``
+    holds answer positions, best first; the four score columns hold one
+    value per position, as :class:`ScoreBreakdown` names them."""
+
+    order: list[int]
+    maxima: Maxima
+    lower: list[float]
+    upper: list[float]
+    si: list[float]
+    combined: list[float]
+
+
+class _Snapshot(NamedTuple):
+    """The answers voted on after ``event_index`` events, as profile
+    indices in the order of their first vote (an answer's position is its
+    creation order), their tallies, and each scorer's ranking of them."""
+
+    event_index: int
+    answers: tuple[int, ...]
+    up: np.ndarray
+    down: np.ndarray
+    rankings: dict[str, _Ranking]
+
+
+def _snapshot_stream(spec: StreamSpec, scorers: Mapping[str, ScoringConfig],
+                     cadence: int) -> Iterator[_Snapshot]:
+    """Each snapshot of :func:`simulate`, yielded as soon as it is ranked, so
+    a caller that drops it holds one snapshot at a time.
+
+    Between two snapshots the votes only add up, so the tallies are two
+    int64 columns indexed by profile, each window added as one ``bincount``;
+    the answers are listed in the order of their first vote, as applying the
+    events one at a time creates them.
+    """
+    import numpy as np
+
+    m = len(spec.profiles)
+    up = np.zeros(m, dtype=np.int64)
+    down = np.zeros(m, dtype=np.int64)
+    seen = np.zeros(m, dtype=bool)
+    answers: list[int] = []
     applied = 0
     for picks, is_up in _stream_blocks(spec, cadence):
-        _apply_window(state, ids, picks, is_up)
+        up += np.bincount(picks[is_up], minlength=m)
+        down += np.bincount(picks[~is_up], minlength=m)
+        fresh = picks[~seen[picks]]
+        if len(fresh):
+            first_votes = list(dict.fromkeys(fresh.tolist()))
+            seen[first_votes] = True
+            answers += first_votes
         applied += len(picks)
         if applied % cadence == 0 or applied == spec.total_events:
-            yield TrajectorySnapshot(
-                applied, {label: state.rank(config) for label, config in scorers.items()})
+            columns = np.array(answers)
+            u, d = up[columns], down[columns]
+            yield _Snapshot(applied, tuple(answers), u, d,
+                            {label: _rank_columns(u, d, config) for label, config in scorers.items()})
+
+
+def _rank_columns(up: np.ndarray, down: np.ndarray, config: ScoringConfig) -> _Ranking:
+    """:func:`state._rank_counts` on int64 columns of one or more tallies:
+    the same order, maxima and score bits, from numpy arithmetic.
+
+    The Wilson bounds are ``grids._wilson_bounds``, the spotlight index is
+    ``_si_of_count`` once per distinct count, negated as ``_si_parts`` says,
+    and the blend is ``_blend`` on the columns.  The Wilson arithmetic
+    gives Python's bits where its operands convert to float64 exactly:
+    counts below 2**53 and a float z (an int z squares exactly in Python,
+    and a large one then rounds differently).  Otherwise the tallies go to
+    ``_rank_counts``.
+    """
+    import numpy as np
+
+    counts = list(zip(up.tolist(), down.tolist()))
+    n_max, u_max, d_max = int((up + down).max()), int(up.max()), int(down.max())
+    if max(n_max, u_max, d_max) >= 2**53 or not isinstance(config.z, float):
+        order, scored, maxima = _rank_counts(counts, config)
+        breakdowns = [scored[key] for key in counts]
+        return _Ranking(order, maxima, [b.wilson.lower for b in breakdowns],
+                        [b.wilson.upper for b in breakdowns], [b.si for b in breakdowns],
+                        [b.combined for b in breakdowns])
+    maxima = effective_maxima(n_max, u_max, d_max, floor=config.n_max_floor)
+    lower, upper = _wilson_bounds(up.astype(np.float64), down.astype(np.float64), config.z)
+    count, top, negate, variant = _si_parts(up, down, maxima, config.si_kind,
+                                            config.si_transform, config.whole_variant)
+    table: dict[int, float] = {}
+    si_counts = count.tolist()
+    for c in si_counts:
+        if c not in table:
+            table[c] = _si_of_count(c, top, config.si_transform, variant)
+    si = np.array([table[c] for c in si_counts], dtype=np.float64)
+    np.negative(si, out=si, where=negate)
+    combined = _blend(config.p_weight, lower if config.bound is Bound.LOWER else upper,
+                      si).tolist()
+    # equal tallies have equal scores, so each position's pair is its tally's
+    return _Ranking(_rank_order(counts, zip(counts, combined)), maxima, lower.tolist(),
+                    upper.tolist(), si.tolist(), combined)
+
+
+def _ranked_list(ranking: _Ranking, names: Sequence[str]) -> RankedList:
+    """``ranking`` as :class:`RankedList` entries, ``names`` the answer ids by position."""
+    breakdowns = [ScoreBreakdown(WilsonInterval(lower, upper), si, combined)
+                  for lower, upper, si, combined in zip(ranking.lower, ranking.upper, ranking.si,
+                                                        ranking.combined)]
+    return RankedList(tuple((names[j], breakdowns[j]) for j in ranking.order), ranking.maxima)
 
 
 def kendall_tau(ranking_a: Sequence[str], ranking_b: Sequence[str]) -> float:
@@ -252,16 +367,28 @@ def kendall_tau(ranking_a: Sequence[str], ranking_b: Sequence[str]) -> float:
     if m < 2:
         raise TooFewElementsError("kendall tau needs at least 2 elements")
     position_b = {answer_id: i for i, answer_id in enumerate(ranking_b)}
-    discordant = _count_inversions([position_b[answer_id] for answer_id in ranking_a])
+    return _tau(_count_inversions([position_b[answer_id] for answer_id in ranking_a]), m)
+
+
+def _tau(discordant: int, m: int) -> float:
+    """Tau-a of two rankings of ``m`` ids with ``discordant`` pairs."""
     total = m * (m - 1) // 2
     return 1.0 - 2.0 * discordant / total
 
 
 def _count_inversions(perm: list[int]) -> int:
-    """Pairs i < j with perm[i] > perm[j], counted while merge-sorting perm
-    bottom-up: O(m log m) (Knight 1966, JASA 61:436)."""
+    """Pairs i < j with perm[i] > perm[j] in a permutation.  Up to
+    ``_BISECT_MAX`` elements, each is counted against the sorted list of
+    those before it; above, while merge-sorting perm bottom-up: O(m log m)
+    (Knight 1966, JASA 61:436)."""
     m = len(perm)
     inversions = 0
+    if m <= _BISECT_MAX:
+        before: list[int] = []
+        for i, x in enumerate(perm):
+            inversions += i - bisect_right(before, x)
+            insort(before, x)
+        return inversions
     width = 1
     while width < m:
         merged = []
@@ -300,29 +427,49 @@ def _tau_or_one(ids_a: Sequence[str], ids_b: Sequence[str]) -> float:
     )
 
 
+def _grown_tau(order_a: Sequence[Hashable], order_b: Sequence[Hashable]) -> float:
+    """:func:`_tau_or_one` where ``order_b`` ranks every id of ``order_a``
+    and no id twice, as a later snapshot of one simulate stream does: the
+    common set is ``order_a``, and the discordant pairs are the inversions
+    of ``order_b``'s positions read in ``order_a``'s order."""
+    m = len(order_a)
+    if m < 2:
+        return 1.0
+    position_b = {key: i for i, key in enumerate(order_b)}
+    return _tau(_count_inversions([position_b[key] for key in order_a]), m)
+
+
 class _StabilityFold:
     """:func:`stability_report`, fed one snapshot at a time.  It keeps the
-    previous snapshot's id order per scorer and each scorer's taus and
+    previous snapshot's order per scorer and each scorer's taus and
     rank-one change count, never the snapshots themselves."""
 
     def __init__(self, labels: Iterable[str]):
         self.labels = tuple(labels)
         self.snapshots = 0
-        self._ids: dict[str, tuple[str, ...]] = {}
+        self._orders: dict[str, Sequence[Hashable]] = {}
         # a list, not a running total: from Python 3.12 sum() adds floats
         # with compensation, and the mean must not change with the fold
         self._taus: dict[str, list[float]] = {label: [] for label in self.labels}
         self._changes = dict.fromkeys(self.labels, 0)
 
     def add(self, snapshot: TrajectorySnapshot) -> None:
-        ids = {label: snapshot.rankings[label].ids() for label in self.labels}
+        self._add({label: snapshot.rankings[label].ids() for label in self.labels}, _tau_or_one)
+
+    def add_grown(self, orders: Mapping[str, Sequence[Hashable]]) -> None:
+        """Fold a snapshot given as each scorer's order of answer keys, every
+        key of the previous snapshot among them, as :func:`_grown_tau` needs."""
+        self._add(orders, _grown_tau)
+
+    def _add(self, orders: Mapping[str, Sequence[Hashable]],
+             tau: Callable[[Sequence[Hashable], Sequence[Hashable]], float]) -> None:
         if self.snapshots:
             for label in self.labels:
-                ids_prev, ids_cur = self._ids[label], ids[label]
-                self._taus[label].append(_tau_or_one(ids_prev, ids_cur))
-                if ids_prev and ids_cur and ids_prev[0] != ids_cur[0]:
+                prev, cur = self._orders[label], orders[label]
+                self._taus[label].append(tau(prev, cur))
+                if prev and cur and prev[0] != cur[0]:
                     self._changes[label] += 1
-        self._ids = ids
+        self._orders = orders
         self.snapshots += 1
 
     def report(self) -> StabilityReport:
@@ -332,7 +479,7 @@ class _StabilityFold:
             label: ScorerStability(sum(taus) / len(taus), self._changes[label])
             for label, taus in self._taus.items()
         }
-        final = self._ids
+        final = self._orders
         agreement = {}
         for i, label_a in enumerate(self.labels):
             for label_b in self.labels[i + 1 :]:

@@ -103,20 +103,28 @@ def _rank_counts(
     breakdown of each distinct ``(up, down)`` and the maxima they were
     scored against: those of the counts, floored per config.
 
-    Positions order by higher combined score, then higher up-count, then
-    lower position.  Under one maxima snapshot the score depends on the tally
-    alone, so each distinct ``(up, down)`` is scored once.
+    Positions order by :func:`_rank_order`.  Under one maxima snapshot the
+    score depends on the tally alone, so each distinct ``(up, down)`` is
+    scored once.
     """
     maxima = effective_maxima(*_max_counts(counts), floor=config.n_max_floor)
     scored: dict[tuple[int, int], ScoreBreakdown] = {}
     for key in counts:
         if key not in scored:
             scored[key] = combined_score(VoteTally(*key), maxima, config)
-    # one sort key per distinct tally; the sort is stable, so positions with
-    # equal keys stay in position order
-    sort_keys = {key: (-breakdown.combined, -key[0]) for key, breakdown in scored.items()}
-    order = sorted(range(len(counts)), key=[sort_keys[key] for key in counts].__getitem__)
+    order = _rank_order(counts, ((key, breakdown.combined) for key, breakdown in scored.items()))
     return order, scored, maxima
+
+
+def _rank_order(counts: Sequence[tuple[int, int]],
+                scores: Iterable[tuple[tuple[int, int], float]]) -> list[int]:
+    """The ranking rule: the positions of ``counts`` by higher combined
+    score, then higher up-count, then lower position.  ``scores`` pairs each
+    distinct ``(up, down)`` with its combined score."""
+    # one sort key per distinct tally, so positions share it; the sort is
+    # stable, so positions with equal keys stay in position order
+    sort_keys = {key: (-combined, -key[0]) for key, combined in scores}
+    return sorted(range(len(counts)), key=[sort_keys[key] for key in counts].__getitem__)
 
 
 def _max_counts(counts: Iterable[tuple[int, int]]) -> tuple[int, int, int]:

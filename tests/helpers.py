@@ -19,10 +19,11 @@ own z = 0 branch and the spotlight index as one branch per kind and
 transform, the form that kernel had before it was factored for reuse by
 the grids.
 So do the simulation's event generator (a linear scan per weighted pick),
-the simulation itself (one ``apply_event`` per event, where the package
-applies one delta per answer between snapshots), its Kendall tau (an O(m^2)
-pair count), ``rank_answers`` (one score per answer, where the package
-scores each distinct tally once), ``rank`` (every line through the full
+the simulation itself (one ``apply_event`` per event and a scalar ranking
+per snapshot, where the package adds each window to count columns and ranks
+them with numpy), its Kendall tau (an O(m^2) pair count), ``rank_answers``
+(one score per answer, where the package scores each distinct tally once),
+``rank`` (every line through the full
 decoder, every field checked on its own and one ``AnswerEntry`` per line,
 where the package decodes a well-formed line in one scanner call, checks it
 in one expression and ranks plain ``(up, down)`` columns), ``replay`` (every

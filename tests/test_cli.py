@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -1514,7 +1515,7 @@ def _trajectory_line_reference(event_index, label, entries):
 
 def _trajectory_line(event_index, label, entries):
     return cli._trajectory_line(event_index, label, [
-        (answer_id, SimpleNamespace(combined=combined)) for answer_id, combined in entries])
+        (cli._json_str(answer_id), combined) for answer_id, combined in entries])
 
 
 @pytest.mark.parametrize("answer_id", ['say "hi"', "back\\slash", "tab\tnl\ncr\r\x00\x1f\x7f",
@@ -1534,6 +1535,57 @@ def test_trajectory_line_is_json_dumps_of_its_dict(answer_id, combined):
 def test_trajectory_line_matches_json_dumps(event_index, label, entries):
     assert (_trajectory_line(event_index, label, entries)
             == _trajectory_line_reference(event_index, label, entries))
+
+
+def _json12_reference(x):
+    return json.dumps(float(f"{x:.12g}"))
+
+
+# the guard's edges: the subnormal range, and exponents from e+12 to e+16
+_NEAR_GUARD = st.one_of(st.floats(1e-310, 1e-290), st.floats(-1e-290, -1e-310),
+                        st.floats(1e11, 1e17), st.floats(-1e17, -1e11))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(x=st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                   _NEAR_GUARD))
+def test_json12_is_json_dumps_of_the_12_digit_float(x):
+    assert cli._json12(x) == _json12_reference(x)
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 1.0, -1.0, 1e-300, math.nextafter(1e-300, 0.0), math.nextafter(1e-300, 1.0),
+    -1e-300, 5e-324, 1e-05, 999999999999.5, 1e12, 1e16, 123456789012.4, math.nan, math.inf,
+    -math.inf,
+])
+def test_json12_on_pinned_values(x):
+    assert cli._json12(x) == _json12_reference(x)
+
+
+# sha256 of the trajectory and the report for the 100 profiles of CI's
+# simulate memory step, seed 0 and 5000 events, per cadence
+_SIMULATE_SHA256 = {
+    1: ("894707e4c616d966e35fa47dc652ceb946fbea461a9a735b283e2387246e23ae",
+        "61f1dd3bbe9099101b249745a84c68531777d0743ed53bce02c288da606e7847"),
+    7: ("022ce2188fffc014c829e520ab088a5f63cf11f25a68fdd4afe2205c96471645",
+        "9dd03b7a641522dcd9647fe858b1ac3c22bdc5e6bcc2b8476a392fcf51aa368c"),
+    1000: ("1c625e4b4344a4b88ef7301b5fec4155b93995b5273ef0b4d1d9d865bce3400a",
+           "f1f4fd076c254b745056f0a2577061f6e2cafc6d015d20737c6a8141fe86443b"),
+}
+
+
+@pytest.mark.parametrize("cadence", sorted(_SIMULATE_SHA256))
+def test_simulate_output_bytes_are_pinned(tmp_path, capsys, cadence):
+    write_jsonl(tmp_path / "profiles.jsonl", [
+        {"answer_id": f"a{i:03d}", "up_probability": (i % 10 + 0.5) / 10,
+         "arrival_weight": 1.0 + i % 7} for i in range(100)])
+    rc, out, err = run(capsys, "simulate", str(tmp_path / "profiles.jsonl"), "--events", "5000",
+                       "--seed", "0", "--cadence", str(cadence),
+                       "--trajectory-out", str(tmp_path / "t.jsonl"),
+                       "--report-out", str(tmp_path / "r.json"))
+    assert (rc, out, err) == (0, "", "")
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("t.jsonl", "r.json")) == _SIMULATE_SHA256[cadence]
 
 
 def test_simulate_memory_stays_at_one_snapshot(tmp_path):
@@ -1753,6 +1805,30 @@ def test_cli_paths_build_no_answer_entry(tmp_path, capsys, monkeypatch):
     assert built == []
     state_module.AnswerEntry("a", VoteTally(1, 0), 0)
     assert len(built) == 1  # the counter sees a construction
+
+
+def test_cli_simulate_calls_no_scalar_score(tmp_path, capsys, monkeypatch):
+    # below 2**53 votes a snapshot is ranked from its count columns; the
+    # scalar kernel is for rank and replay
+    state_module = importlib.import_module("spotrank.state")
+    calls = []
+    combined_score = state_module.combined_score
+
+    def counting(*args):
+        calls.append(args)
+        return combined_score(*args)
+
+    monkeypatch.setattr(state_module, "combined_score", counting)
+    write_jsonl(tmp_path / "profiles.jsonl", PROFILES)
+    rc, out, err = run(capsys, "simulate", str(tmp_path / "profiles.jsonl"), "--events", "50",
+                       "--cadence", "7", "--trajectory-out", str(tmp_path / "t.jsonl"),
+                       "--report-out", str(tmp_path / "r.json"))
+    assert (rc, out, err) == (0, "", "")
+    assert len(parse_jsonl((tmp_path / "t.jsonl").read_text(encoding="utf-8"))) == 16
+    assert calls == []
+    state_module.QuestionState("q").rank(ScoringConfig())
+    rank_answers([AnswerEntry("a", VoteTally(1, 0), 0)], ScoringConfig())
+    assert len(calls) == 1  # the counter sees a call
 
 
 # --- framework -----------------------------------------------------------------

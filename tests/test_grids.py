@@ -269,6 +269,18 @@ def test_invalid_geometry_rejected():
         GridSpec(5, 5, maxima, AverageRatingScorer(), 0)
 
 
+@pytest.mark.parametrize("scorer", ["improved", None, SiKind.WHOLE, WilsonScorer],
+                         ids=["str", "None", "kind", "class"])
+def test_grid_spec_refuses_a_scorer_of_another_type(scorer):
+    # refused when the spec is built, so no cell is computed; replace rebuilds
+    message = ("^scorer must be a ScoringConfig, WilsonScorer or AverageRatingScorer, "
+               f"got {type(scorer).__name__}$")
+    with pytest.raises(TypeError, match=message):
+        GridSpec(2, 2, Maxima(10, 10, 10), scorer)
+    with pytest.raises(TypeError, match=message):
+        replace(GridSpec(2, 2, Maxima(10, 10, 10), AverageRatingScorer()), scorer=scorer)
+
+
 # --- CSV ------------------------------------------------------------------------
 
 

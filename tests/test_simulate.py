@@ -1,17 +1,21 @@
 import builtins
 import importlib
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from helpers import generate_events_linear, kendall_tau_pairs
-from spotrank.scoring import ScoringConfig
+from spotrank.scoring import (EXP, LINEAR, LOG10, Bound, ScoringConfig, SiKind, WholeSiVariant,
+                              poly)
 from spotrank.simulate import (
+    _BISECT_MAX,
     AnswerProfile,
     RankingMismatchError,
     SplitMix64,
@@ -21,11 +25,13 @@ from spotrank.simulate import (
     Trajectory,
     TrajectorySnapshot,
     generate_events,
+    _rank_columns,
+    _StabilityFold,
     kendall_tau,
     simulate,
     stability_report,
 )
-from spotrank.state import QuestionState, RankedList
+from spotrank.state import QuestionState, RankedList, _rank_counts
 
 WILSON = ScoringConfig(z=2.0, p_weight=1.0)
 BLEND = ScoringConfig(z=2.0, p_weight=0.5)
@@ -257,6 +263,41 @@ def test_simulate_matches_per_event_oracle(monkeypatch, case, cadence, block):
     assert final.recompute_maxima() == helpers.brute_maxima(final.entries())
 
 
+# a vote count: small ones tie often; the others put totals on both sides of 2**53
+_COUNT = st.one_of(st.integers(0, 6), st.integers(0, 10**6), st.integers(2**52 - 3, 2**52 + 3),
+                   st.integers(2**53 - 3, 2**53 + 3))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]  # -0.0 and 0.0 differ
+
+
+@pytest.mark.parametrize("kind, transform, variant, bound", list(product(
+    SiKind, [LINEAR, LOG10, EXP, poly(2.5)], WholeSiVariant, Bound)))
+@settings(max_examples=12, deadline=None)
+@given(counts=st.lists(st.tuples(_COUNT, _COUNT), min_size=1, max_size=25),
+       p_weight=st.sampled_from([0.0, 0.5, 1.0]),
+       z=st.sampled_from([0.0, 1.0, 2.0, 2, 10**10 + 1]),  # a large int z squares exactly
+       floor=st.integers(1, 12))
+@example(counts=[(0, 0), (0, 0)], p_weight=1.0, z=2.0, floor=1)  # unvoted, ties
+@example(counts=[(0, 3), (0, 0), (3, 0)], p_weight=0.0, z=2.0, floor=1)  # -0.0 scores
+@example(counts=[(2**53 - 1, 0), (0, 1)], p_weight=0.5, z=1.0, floor=1)  # just below 2**53
+@example(counts=[(2**52, 2**52), (1, 1)], p_weight=0.5, z=1.0, floor=1)  # 2**53 exactly
+def test_rank_columns_matches_rank_counts(kind, transform, variant, bound, counts, p_weight, z,
+                                          floor):
+    config = ScoringConfig(z=z, p_weight=p_weight, si_kind=kind, si_transform=transform,
+                           bound=bound, n_max_floor=floor, whole_variant=variant)
+    order, scored, maxima = _rank_counts(counts, config)
+    breakdowns = [scored[key] for key in counts]
+    ranking = _rank_columns(np.array([u for u, _ in counts], dtype=np.int64),
+                            np.array([d for _, d in counts], dtype=np.int64), config)
+    assert (ranking.order, ranking.maxima) == (order, maxima)
+    assert _bits(ranking.lower) == _bits(b.wilson.lower for b in breakdowns)
+    assert _bits(ranking.upper) == _bits(b.wilson.upper for b in breakdowns)
+    assert _bits(ranking.si) == _bits(b.si for b in breakdowns)
+    assert _bits(ranking.combined) == _bits(b.combined for b in breakdowns)
+
+
 def test_generate_events_across_default_draw_blocks():
     block = importlib.import_module("spotrank.simulate")._DRAW_BLOCK
     spec = spec_of(("a", 0.3, 1.0), ("b", 0.6, 2.0), ("c", 0.9, 0.5),
@@ -295,15 +336,39 @@ def test_tau_rejects_tiny_rankings():
         kendall_tau([], [])
 
 
+def _shuffled(m, seed):
+    return random.Random(seed).sample(range(m), m)
+
+
+# the inversions are counted by insertion up to _BISECT_MAX ids and by merge
+# sort above; the examples straddle that threshold
 @settings(max_examples=150, deadline=None)
 @given(
     perms=st.integers(2, 300).flatmap(
         lambda m: st.tuples(st.permutations(range(m)), st.permutations(range(m)))
     )
 )
+@example(perms=(_shuffled(_BISECT_MAX - 1, 1), _shuffled(_BISECT_MAX - 1, 2)))
+@example(perms=(_shuffled(_BISECT_MAX, 3), _shuffled(_BISECT_MAX, 4)))
+@example(perms=(_shuffled(_BISECT_MAX + 1, 5), _shuffled(_BISECT_MAX + 1, 6)))
+@example(perms=(list(range(_BISECT_MAX)), list(reversed(range(_BISECT_MAX)))))
 def test_tau_matches_pair_count_oracle(perms):
     ranking_a, ranking_b = ([f"id{i}" for i in perm] for perm in perms)
     assert kendall_tau(ranking_a, ranking_b) == kendall_tau_pairs(ranking_a, ranking_b)
+
+
+@pytest.mark.parametrize("size", [40, _BISECT_MAX + 40], ids=["insertion", "merge-sort"])
+def test_grown_snapshot_tau_matches_pair_count_oracle(size):
+    # the earlier snapshot ranks a strict subset of the later one's answers,
+    # as in a simulate stream; its tau is over the earlier answers
+    later = _shuffled(size, size)
+    earlier = random.Random(-size).sample(range(size), size - 20)
+    fold = _StabilityFold(["s"])
+    fold.add_grown({"s": earlier})
+    fold.add_grown({"s": later})
+    kept = set(earlier)
+    expected = kendall_tau_pairs(earlier, [key for key in later if key in kept])
+    assert fold.report().per_scorer["s"].mean_adjacent_tau == expected
 
 
 @settings(max_examples=200)
@@ -392,8 +457,13 @@ def test_stability_fold_matches_list_oracle(trajectory):
                 report(trajectory)
         return
     # repr spells every float exactly, -0.0 included
-    assert repr(stability_report(trajectory)) == repr(
-        helpers.stability_report_reference(trajectory))
+    expected = repr(helpers.stability_report_reference(trajectory))
+    assert repr(stability_report(trajectory)) == expected
+    # the answers only grow, as in a simulate stream: the fold the CLI uses
+    fold = _StabilityFold(trajectory.scorer_labels)
+    for snapshot in trajectory.snapshots:
+        fold.add_grown({label: ranked.ids() for label, ranked in snapshot.rankings.items()})
+    assert repr(fold.report()) == expected
 
 
 _STABILITY_STUDY = Path(__file__).resolve().parent.parent / "scripts" / "stability_study.py"
