@@ -758,7 +758,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     combined = ranking.combined
                     fh.write(_trajectory_line(snap.event_index, label,
                                               [(names[j], combined[j]) for j in ranking.order]))
-                fold.add_grown({label: ranking.order for label, ranking in snap.rankings.items()})
+                fold.add({label: ranking.order for label, ranking in snap.rankings.items()})
         report_obj: dict[str, Any] = {"scorers": {}, "agreement": []}
         if fold.snapshots >= 2:
             report = fold.report()

@@ -258,7 +258,8 @@ def _row_blocks(spec: GridSpec) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, 
     scorer = spec.scorer
     rows, cols = spec.shape
     step = spec.step
-    d_values = np.arange(0, spec.d_max_grid + 1, step, dtype=np.int64)
+    # int64 from the start: an arange sized in float64 can drop the last column
+    d_values = np.arange(cols, dtype=np.int64) * np.int64(step)
     D = d_values.astype(np.float64)[None, :]
     per_block = max(1, _BLOCK_CELLS // cols)
 

@@ -146,7 +146,8 @@ class ScoringConfig:
     weight of the Wilson term (1 - p_weight goes to the spotlight index).
     Ranking normally uses the lower bound; the conservative choice.  A config
     checks itself when it is built (and when ``dataclasses.replace`` rebuilds
-    it), raising :class:`ConfigError` naming the first bad field.
+    it), raising :class:`ConfigError` naming the first bad field.  ``z`` is
+    stored as a float, so every kernel squares the same float.
     """
 
     z: float = 2.0
@@ -162,6 +163,7 @@ class ScoringConfig:
             raise ConfigError("p_weight", f"must be in [0, 1], got {_quote(self.p_weight)}")
         if not _valid_z(self.z):
             raise ConfigError("z", f"must be a non-negative real, got {_quote(self.z)}")
+        object.__setattr__(self, "z", float(self.z))
         if self.n_max_floor < 1:
             raise ConfigError("n_max_floor", f"must be >= 1, got {_quote(self.n_max_floor)}")
 

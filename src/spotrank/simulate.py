@@ -18,21 +18,22 @@ and each window adds one ``bincount`` to each.
 
 Each snapshot is ranked from those columns (:func:`_rank_columns`): the
 Wilson bounds and the blend run on numpy columns, the spotlight index is
-the scalar function taken once per distinct count, and the order is the
-rule of ``state._rank_counts``, which it equals: same order, same maxima,
-same bits in every score for vote totals below 2**53 (past that, the
-tallies go to ``_rank_counts``).  numpy is imported by the functions that
-draw and rank the columns, so importing this module does not load it.
+the scalar function taken once per distinct count, and the order is
+``state._rank_order``.  That is ``rank``'s ranking of the tallies: same
+order, same maxima, same bits in every score.  A stream has fewer than 2**53
+events, so every vote total converts to float64 exactly.  numpy is imported
+by the functions that draw and rank the columns, so importing this module
+does not load it.
 
 Stability is quantified with Kendall tau-a over adjacent ranking snapshots
 (rankings are strict total orders after tie-breaking, so no tie handling is
 needed) plus cross-scorer agreement on the final ranking.  Both need only the
 previous snapshot, so the snapshots come as one stream: :func:`simulate`
 keeps all of them, and a caller that folds each one into the report as it
-comes (the CLI) holds one at a time.  Answers never leave a stream, so an
-adjacent pair's common set is the earlier snapshot's answers, and its
-discordant pairs are the inversions of the later ranking's positions read
-in the earlier order.
+comes (the CLI) holds one at a time.  Answers never leave a stream, so
+each snapshot ranks every answer of the one before: an adjacent pair's tau
+is over the earlier snapshot's answers, and its discordant pairs are the
+inversions of the later ranking's positions read in the earlier order.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .grids import _wilson_bounds
 from .scoring import (
@@ -56,7 +57,7 @@ from .scoring import (
     _si_parts,
     effective_maxima,
 )
-from .state import QuestionState, RankedList, VoteEvent, _rank_counts, _rank_order
+from .state import QuestionState, RankedList, VoteEvent, _rank_order
 
 SIM_QUESTION_ID = "sim"
 
@@ -134,6 +135,9 @@ class StreamSpec:
             raise ValueError("duplicate answer_id in profiles")
         if self.total_events < 1:
             raise ValueError("total_events must be positive")
+        # each event adds one vote, so every vote total converts to float64 exactly
+        if self.total_events >= 2**53:
+            raise ValueError(f"total_events must be below 2**53, got {_quote(self.total_events)}")
 
 
 @dataclass(frozen=True)
@@ -309,28 +313,21 @@ def _snapshot_stream(spec: StreamSpec, scorers: Mapping[str, ScoringConfig],
 
 
 def _rank_columns(up: np.ndarray, down: np.ndarray, config: ScoringConfig) -> _Ranking:
-    """:func:`state._rank_counts` on int64 columns of one or more tallies:
-    the same order, maxima and score bits, from numpy arithmetic.
+    """``rank``'s ranking of int64 columns of one or more tallies: the
+    order, maxima and score bits of the scalar kernel, from numpy arithmetic.
 
     The Wilson bounds are ``grids._wilson_bounds``, the spotlight index is
     ``_si_of_count`` once per distinct count, negated as ``_si_parts`` says,
     and the blend is ``_blend`` on the columns.  The Wilson arithmetic
-    gives Python's bits where its operands convert to float64 exactly:
-    counts below 2**53 and a float z (an int z squares exactly in Python,
-    and a large one then rounds differently).  Otherwise the tallies go to
-    ``_rank_counts``.
+    gives Python's bits because its operands convert to float64 exactly:
+    every vote total is below 2**53, as :class:`StreamSpec` bounds the
+    stream, and ``config.z`` is a float, as :class:`ScoringConfig` stores it.
     """
     import numpy as np
 
     counts = list(zip(up.tolist(), down.tolist()))
-    n_max, u_max, d_max = int((up + down).max()), int(up.max()), int(down.max())
-    if max(n_max, u_max, d_max) >= 2**53 or not isinstance(config.z, float):
-        order, scored, maxima = _rank_counts(counts, config)
-        breakdowns = [scored[key] for key in counts]
-        return _Ranking(order, maxima, [b.wilson.lower for b in breakdowns],
-                        [b.wilson.upper for b in breakdowns], [b.si for b in breakdowns],
-                        [b.combined for b in breakdowns])
-    maxima = effective_maxima(n_max, u_max, d_max, floor=config.n_max_floor)
+    maxima = effective_maxima(int((up + down).max()), int(up.max()), int(down.max()),
+                              floor=config.n_max_floor)
     lower, upper = _wilson_bounds(up.astype(np.float64), down.astype(np.float64), config.z)
     count, top, negate, variant = _si_parts(up, down, maxima, config.si_kind,
                                             config.si_transform, config.whole_variant)
@@ -359,21 +356,17 @@ def _ranked_list(ranking: _Ranking, names: Sequence[str]) -> RankedList:
 def kendall_tau(ranking_a: Sequence[str], ranking_b: Sequence[str]) -> float:
     """Tau-a rank correlation: (concordant - discordant) / (m*(m-1)/2).
 
-    Both rankings must be permutations of the same id set with >= 2 elements.
+    Both rankings must be permutations of the same id set with >= 2 elements:
+    m distinct ids and m ids, each of the first found in the second by
+    :func:`_grown_tau`, which counts the discordant pairs.
     """
     m = len(ranking_a)
-    if len(set(ranking_a)) != m or set(ranking_a) != set(ranking_b) or len(ranking_b) != m:
+    if len(set(ranking_a)) != m or len(ranking_b) != m:
         raise RankingMismatchError("rankings must be permutations of one id set")
+    tau = _grown_tau(ranking_a, ranking_b)
     if m < 2:
         raise TooFewElementsError("kendall tau needs at least 2 elements")
-    position_b = {answer_id: i for i, answer_id in enumerate(ranking_b)}
-    return _tau(_count_inversions([position_b[answer_id] for answer_id in ranking_a]), m)
-
-
-def _tau(discordant: int, m: int) -> float:
-    """Tau-a of two rankings of ``m`` ids with ``discordant`` pairs."""
-    total = m * (m - 1) // 2
-    return 1.0 - 2.0 * discordant / total
+    return tau
 
 
 def _count_inversions(perm: list[int]) -> int:
@@ -412,31 +405,22 @@ def _count_inversions(perm: list[int]) -> int:
     return inversions
 
 
-def _tau_or_one(ids_a: Sequence[str], ids_b: Sequence[str]) -> float:
-    """Adjacent-snapshot tau over the common id set; vacuously 1.0 below 2 ids.
-
-    Answers appear as the stream runs, so consecutive snapshots may not rank
-    the same set; the comparison is restricted to ids present in both.
-    """
-    common = set(ids_a) & set(ids_b)
-    if len(common) < 2:
-        return 1.0
-    return kendall_tau(
-        [i for i in ids_a if i in common],
-        [i for i in ids_b if i in common],
-    )
-
-
 def _grown_tau(order_a: Sequence[Hashable], order_b: Sequence[Hashable]) -> float:
-    """:func:`_tau_or_one` where ``order_b`` ranks every id of ``order_a``
-    and no id twice, as a later snapshot of one simulate stream does: the
-    common set is ``order_a``, and the discordant pairs are the inversions
-    of ``order_b``'s positions read in ``order_a``'s order."""
-    m = len(order_a)
+    """Tau-a of ``order_a`` against ``order_b``'s order of the same ids;
+    vacuously 1.0 below 2 ids.  ``order_b`` ranks every id of ``order_a``
+    (else :class:`RankingMismatchError`) and no id twice, as a later snapshot
+    of one stream does.  The discordant pairs are the inversions of
+    ``order_b``'s positions read in ``order_a``'s order.
+    """
+    position_b = {key: i for i, key in enumerate(order_b)}
+    try:
+        perm = [position_b[key] for key in order_a]
+    except KeyError:
+        raise RankingMismatchError("the second ranking lacks an id of the first") from None
+    m = len(perm)
     if m < 2:
         return 1.0
-    position_b = {key: i for i, key in enumerate(order_b)}
-    return _tau(_count_inversions([position_b[key] for key in order_a]), m)
+    return 1.0 - 2.0 * _count_inversions(perm) / (m * (m - 1) // 2)
 
 
 class _StabilityFold:
@@ -453,20 +437,13 @@ class _StabilityFold:
         self._taus: dict[str, list[float]] = {label: [] for label in self.labels}
         self._changes = dict.fromkeys(self.labels, 0)
 
-    def add(self, snapshot: TrajectorySnapshot) -> None:
-        self._add({label: snapshot.rankings[label].ids() for label in self.labels}, _tau_or_one)
-
-    def add_grown(self, orders: Mapping[str, Sequence[Hashable]]) -> None:
+    def add(self, orders: Mapping[str, Sequence[Hashable]]) -> None:
         """Fold a snapshot given as each scorer's order of answer keys, every
         key of the previous snapshot among them, as :func:`_grown_tau` needs."""
-        self._add(orders, _grown_tau)
-
-    def _add(self, orders: Mapping[str, Sequence[Hashable]],
-             tau: Callable[[Sequence[Hashable], Sequence[Hashable]], float]) -> None:
         if self.snapshots:
             for label in self.labels:
                 prev, cur = self._orders[label], orders[label]
-                self._taus[label].append(tau(prev, cur))
+                self._taus[label].append(_grown_tau(prev, cur))
                 if prev and cur and prev[0] != cur[0]:
                     self._changes[label] += 1
         self._orders = orders
@@ -479,17 +456,21 @@ class _StabilityFold:
             label: ScorerStability(sum(taus) / len(taus), self._changes[label])
             for label, taus in self._taus.items()
         }
-        final = self._orders
+        final = self._orders  # every scorer ranks the one set of answers
         agreement = {}
         for i, label_a in enumerate(self.labels):
             for label_b in self.labels[i + 1 :]:
-                agreement[(label_a, label_b)] = _tau_or_one(final[label_a], final[label_b])
+                agreement[(label_a, label_b)] = _grown_tau(final[label_a], final[label_b])
         return StabilityReport(per_scorer, agreement)
 
 
 def stability_report(trajectory: Trajectory) -> StabilityReport:
-    """Aggregate adjacent-snapshot stability and cross-scorer final agreement."""
+    """Aggregate adjacent-snapshot stability and cross-scorer final agreement.
+
+    Each snapshot must rank every answer of the one before, as :func:`simulate`'s
+    do, else :class:`RankingMismatchError`.
+    """
     fold = _StabilityFold(trajectory.scorer_labels)
     for snapshot in trajectory.snapshots:
-        fold.add(snapshot)
+        fold.add({label: ranked.ids() for label, ranked in snapshot.rankings.items()})
     return fold.report()

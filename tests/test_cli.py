@@ -1120,6 +1120,15 @@ def test_grid_step_grid_shape(capsys):
     assert len(grid_data_lines(out)) == 1 + 5 * 3
 
 
+def test_grid_with_a_large_step_writes_its_last_d_column(capsys):
+    rc, out, err = run(capsys, "grid", "--u-range", "0", "--d-range", "18530201888518410",
+                       "--step", "617673396283947", "--n-max", "18530201888518410")
+    assert (rc, err) == (0, "")
+    rows = grid_data_lines(out)
+    assert len(rows) == 1 + 31
+    assert rows[-1].startswith("0,18530201888518410,")
+
+
 def test_grid_inconsistent_maxima_exits_2(capsys):
     rc, out, err = run(capsys, "grid", "--u-range", "600", "--d-range", "600",
                        "--n-max", "1000")
@@ -1717,6 +1726,17 @@ def test_simulate_integer_flags_beyond_int64_are_out_of_range(tmp_path, capsys, 
                        "--report-out", str(tmp_path / "r.json"))
     assert rc == 2 and out == ""
     assert err == f"error: {flag}: out of range\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["profiles.jsonl"]
+
+
+def test_simulate_of_2_to_the_53_events_exits_2_before_any_output(tmp_path, capsys):
+    profiles = tmp_path / "profiles.jsonl"
+    write_jsonl(profiles, PROFILES)
+    rc, out, err = run(capsys, "simulate", str(profiles), "--events", "9007199254740992",
+                       "--trajectory-out", str(tmp_path / "t.jsonl"),
+                       "--report-out", str(tmp_path / "r.json"))
+    assert rc == 2 and out == ""
+    assert err == "error: total_events must be below 2**53, got 9007199254740992\n"
     assert [p.name for p in tmp_path.iterdir()] == ["profiles.jsonl"]
 
 

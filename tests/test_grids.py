@@ -84,6 +84,25 @@ def test_grid_dimensions(u_range, d_range, step):
     assert grid.u_values[0] == 0 and grid.u_values[-1] == (u_range // step) * step
 
 
+# 31 d values, 0 to 30 * step; an arange sized in float64 gives 30
+_LARGE_STEP, _LARGE_TOP = 617673396283947, 18530201888518410
+
+
+@pytest.mark.parametrize("scorer", [ScoringConfig(), WilsonScorer(2.0), AverageRatingScorer()],
+                         ids=["improved", "wilson", "average"])
+def test_large_step_grid_keeps_its_last_d_column(scorer):
+    spec = GridSpec(0, _LARGE_TOP, Maxima(_LARGE_TOP, _LARGE_TOP, _LARGE_TOP), scorer,
+                    _LARGE_STEP)
+    grid = grid_scores(spec)
+    assert grid.scores.shape == (1, 31)
+    assert grid.d_values.tolist() == [j * _LARGE_STEP for j in range(31)]
+    buffer = io.StringIO()
+    emit_csv(spec, buffer)
+    rows = [line for line in buffer.getvalue().splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == 31
+    assert rows[-1].startswith(f"0,{_LARGE_TOP},")
+
+
 def test_cells_hold_step_multiples():
     grid = grid_scores(improved_spec(10, 10, step=5, z=2.0, p_weight=0.5))
     config = ScoringConfig(z=2.0, p_weight=0.5)

@@ -657,6 +657,9 @@ def test_combined_range_is_the_blend_of_its_endpoints(kind, p_weight):
 def test_valid_config_builds_and_replace_rechecks():
     config = ScoringConfig(z=2.0, p_weight=0.5)
     assert replace(config, p_weight=1.0).p_weight == 1.0
+    # z is stored as a float, so every kernel squares the same float
+    assert [(type(z), z) for z in (ScoringConfig(z=2).z, replace(config, z=3).z)] == [
+        (float, 2.0), (float, 3.0)]
     with pytest.raises(ConfigError) as exc_info:
         replace(config, p_weight=2.0)
     assert exc_info.value.field == "p_weight"
